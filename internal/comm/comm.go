@@ -6,9 +6,7 @@
 // hierarchical interconnect engine of internal/topo: every ring,
 // hierarchical, reduce-scatter/all-gather and point-to-point transfer is
 // routed over the cluster's Topology (rails, switch hops,
-// oversubscription, contention), and the legacy explicit-bandwidth entry
-// points route over a degenerate flat link so pre-computed shares keep
-// their exact seed-model cost.
+// oversubscription, contention).
 package comm
 
 import (
@@ -70,24 +68,11 @@ func ClusterEngine(c hw.Cluster) topo.Engine {
 	return topo.Engine{T: c.Topo()}
 }
 
-// linkEngine wraps a pre-computed per-endpoint bandwidth as a degenerate
-// single-link topology, preserving the seed-model cost of the legacy
-// explicit-bandwidth entry points.
-func linkEngine(bw unit.BytesPerSec) topo.Engine {
-	return topo.Engine{T: topo.Flat(bw)}
-}
-
-// RingAllReduce returns the ring all-reduce time for n bytes among p
-// endpoints over per-endpoint bandwidth bw: 2(p-1) steps each moving n/p
-// bytes.
-func RingAllReduce(n unit.Bytes, p int, bw unit.BytesPerSec, b Backend) unit.Seconds {
-	return RingAllReduceOver(linkEngine(bw), n, p, b)
-}
-
-// RingAllReduceOver is RingAllReduce routed over a topology engine: each
-// step crosses the engine's inter-node route, paying its bottleneck
-// bandwidth (after rail aggregation, oversubscription and contention)
-// and per-hop latency.
+// RingAllReduceOver returns the ring all-reduce time for n bytes among p
+// endpoints routed over a topology engine: 2(p-1) steps each moving n/p
+// bytes, every step crossing the engine's inter-node route and paying
+// its bottleneck bandwidth (after rail aggregation, oversubscription and
+// contention) and per-hop latency.
 func RingAllReduceOver(e topo.Engine, n unit.Bytes, p int, b Backend) unit.Seconds {
 	return e.Ring(n, p, b.Xfer())
 }
@@ -158,20 +143,14 @@ func PhasedGroups(sizes []unit.Bytes, c hw.Cluster, gpus int, b Backend) []Group
 	})
 }
 
-// RingPhasedGroups merges per-block payloads (in backward completion
-// order) into exchange phases for a flat ring over p endpoints at
-// per-endpoint bandwidth bw — the PhasedGroups rule applied to a
-// pre-computed contended share. Each group's Time is the ring all-reduce
-// of its payload; a reduce-scatter or all-gather phase costs exactly
-// half (half the ring steps).
-func RingPhasedGroups(sizes []unit.Bytes, p int, bw unit.BytesPerSec, b Backend) []Group {
-	return RingPhasedGroupsOver(linkEngine(bw), sizes, p, b)
-}
-
-// RingPhasedGroupsOver is RingPhasedGroups routed over a topology
-// engine — the contended ring of the in-core hybrids' data-parallel
-// exchange, where one replica per node participates in each of the
-// node's concurrent shard collectives.
+// RingPhasedGroupsOver merges per-block payloads (in backward completion
+// order) into exchange phases for a ring over p endpoints routed over a
+// topology engine — the PhasedGroups rule applied to the contended ring
+// of the in-core hybrids' data-parallel exchange, where one replica per
+// node participates in each of the node's concurrent shard collectives.
+// Each group's Time is the ring all-reduce of its payload; a
+// reduce-scatter or all-gather phase costs exactly half (half the ring
+// steps).
 func RingPhasedGroupsOver(e topo.Engine, sizes []unit.Bytes, p int, b Backend) []Group {
 	if len(sizes) == 0 {
 		return nil
@@ -180,37 +159,6 @@ func RingPhasedGroupsOver(e topo.Engine, sizes []unit.Bytes, p int, b Backend) [
 	return mergeGroups(sizes, threshold, func(n unit.Bytes) unit.Seconds {
 		return e.Ring(n, p, b.Xfer())
 	})
-}
-
-// BulkTime returns the single-shot (non-phased) exchange time for the
-// summed payload — the baseline the phased scheme is compared against
-// (ablation A3).
-func BulkTime(sizes []unit.Bytes, c hw.Cluster, gpus int, b Backend) unit.Seconds {
-	var n unit.Bytes
-	for _, s := range sizes {
-		n += s
-	}
-	return HierarchicalAllReduce(n, c, gpus, b)
-}
-
-// ReduceScatter returns the time to reduce n bytes and leave each of the
-// p endpoints with its n/p shard: (p-1) ring steps of n/p bytes — half an
-// all-reduce. ZeRO-style sharded optimizers build on this primitive.
-func ReduceScatter(n unit.Bytes, p int, bw unit.BytesPerSec, b Backend) unit.Seconds {
-	return linkEngine(bw).ReduceScatter(n, p, b.Xfer())
-}
-
-// AllGather returns the time for each endpoint to collect all p shards of
-// n total bytes: (p-1) ring steps of n/p bytes — the other half.
-func AllGather(n unit.Bytes, p int, bw unit.BytesPerSec, b Backend) unit.Seconds {
-	return linkEngine(bw).AllGather(n, p, b.Xfer())
-}
-
-// PointToPoint returns the time to move n bytes between two endpoints
-// over per-endpoint bandwidth bw — the stage-boundary send/recv of
-// pipeline (inter-layer) parallelism. One message, one latency.
-func PointToPoint(n unit.Bytes, bw unit.BytesPerSec, b Backend) unit.Seconds {
-	return linkEngine(bw).PointToPoint(n, b.Xfer())
 }
 
 // PointToPointOver routes a two-endpoint transfer over a topology

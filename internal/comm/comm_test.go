@@ -22,17 +22,23 @@ func TestBackendPick(t *testing.T) {
 	}
 }
 
+// flat is a single-link topology engine at per-endpoint bandwidth bw.
+func flat(bw unit.BytesPerSec) topo.Engine {
+	return topo.Engine{T: topo.Flat(bw)}
+}
+
 func TestRingAllReduceBasics(t *testing.T) {
 	b := Backend{Name: "ideal", Latency: 0, BWEfficiency: 1}
+	e := flat(unit.GBps)
 	// p=2: 2 steps of n/2 bytes at 1 GB/s -> n bytes total time.
-	got := RingAllReduce(unit.Bytes(1e9), 2, 1*unit.GBps, b)
+	got := RingAllReduceOver(e, unit.Bytes(1e9), 2, b)
 	if got != 1 {
 		t.Errorf("allreduce = %v, want 1s", got)
 	}
-	if RingAllReduce(100, 1, unit.GBps, b) != 0 {
+	if RingAllReduceOver(e, 100, 1, b) != 0 {
 		t.Error("single participant needs no exchange")
 	}
-	if RingAllReduce(0, 8, unit.GBps, b) != 0 {
+	if RingAllReduceOver(e, 0, 8, b) != 0 {
 		t.Error("zero bytes needs no exchange")
 	}
 }
@@ -41,8 +47,8 @@ func TestRingAllReduceBandwidthOptimal(t *testing.T) {
 	// Ring all-reduce total volume approaches 2n regardless of p: time
 	// should be nearly flat in p (bandwidth-optimal), up to latency.
 	b := Backend{Name: "ideal", Latency: 0, BWEfficiency: 1}
-	t4 := RingAllReduce(unit.Bytes(1e9), 4, unit.GBps, b)
-	t64 := RingAllReduce(unit.Bytes(1e9), 64, unit.GBps, b)
+	t4 := RingAllReduceOver(flat(unit.GBps), unit.Bytes(1e9), 4, b)
+	t64 := RingAllReduceOver(flat(unit.GBps), unit.Bytes(1e9), 64, b)
 	ratio := float64(t64) / float64(t4)
 	if ratio > 1.4 {
 		t.Errorf("ring should be near bandwidth-optimal: t64/t4 = %v", ratio)
@@ -51,8 +57,8 @@ func TestRingAllReduceBandwidthOptimal(t *testing.T) {
 
 func TestRingAllReduceLatencyGrowsWithP(t *testing.T) {
 	b := MPI()
-	small := RingAllReduce(unit.Bytes(1024), 4, unit.GBps, b)
-	big := RingAllReduce(unit.Bytes(1024), 256, unit.GBps, b)
+	small := RingAllReduceOver(flat(unit.GBps), unit.Bytes(1024), 4, b)
+	big := RingAllReduceOver(flat(unit.GBps), unit.Bytes(1024), 256, b)
 	if big <= small {
 		t.Error("latency-bound collective should grow with participant count")
 	}
@@ -62,10 +68,10 @@ func TestHierarchicalFasterThanFlatRing(t *testing.T) {
 	c := hw.ABCI()
 	b := MPI()
 	n := unit.Bytes(256 << 20)
-	flat := RingAllReduce(n, 512, c.NetBW, b)
+	ring := RingAllReduceOver(flat(c.NetBW), n, 512, b)
 	hier := HierarchicalAllReduce(n, c, 512, b)
-	if hier >= flat {
-		t.Errorf("hierarchical (%v) should beat flat ring over the network (%v)", hier, flat)
+	if hier >= ring {
+		t.Errorf("hierarchical (%v) should beat flat ring over the network (%v)", hier, ring)
 	}
 }
 
@@ -137,10 +143,12 @@ func TestPhasedTotalTimeAtLeastBulkBandwidth(t *testing.T) {
 	c := hw.ABCI()
 	b := MPI()
 	var phased unit.Seconds
+	var total unit.Bytes
 	for _, g := range PhasedGroups(sizes, c, 512, b) {
 		phased += g.Time
+		total += g.Bytes
 	}
-	bulk := BulkTime(sizes, c, 512, b)
+	bulk := HierarchicalAllReduce(total, c, 512, b)
 	if phased < bulk-0.01 {
 		t.Errorf("phased total %v implausibly below bulk %v", phased, bulk)
 	}
@@ -170,22 +178,24 @@ func TestReduceScatterAllGatherComposeToAllReduce(t *testing.T) {
 	// reduce-scatter + all-gather equals one ring all-reduce: 2(p-1)
 	// steps of n/p bytes.
 	b := Backend{Name: "ideal", Latency: 0, BWEfficiency: 1}
+	e := flat(unit.GBps)
 	n := unit.Bytes(1 << 30)
 	const p = 16
-	rs := ReduceScatter(n, p, unit.GBps, b)
-	ag := AllGather(n, p, unit.GBps, b)
-	ar := RingAllReduce(n, p, unit.GBps, b)
+	rs := e.ReduceScatter(n, p, b.Xfer())
+	ag := e.AllGather(n, p, b.Xfer())
+	ar := RingAllReduceOver(e, n, p, b)
 	if rs+ag != ar {
 		t.Errorf("rs(%v)+ag(%v) != allreduce(%v)", rs, ag, ar)
 	}
 }
 
 func TestReduceScatterEdgeCases(t *testing.T) {
-	b := MPI()
-	if ReduceScatter(100, 1, unit.GBps, b) != 0 {
+	x := MPI().Xfer()
+	e := flat(unit.GBps)
+	if e.ReduceScatter(100, 1, x) != 0 {
 		t.Error("single endpoint needs no exchange")
 	}
-	if ReduceScatter(0, 8, unit.GBps, b) != 0 {
+	if e.ReduceScatter(0, 8, x) != 0 {
 		t.Error("zero payload needs no exchange")
 	}
 	defer func() {
@@ -193,27 +203,28 @@ func TestReduceScatterEdgeCases(t *testing.T) {
 			t.Error("negative size should panic")
 		}
 	}()
-	ReduceScatter(-1, 4, unit.GBps, b)
+	e.ReduceScatter(-1, 4, x)
 }
 
 // --- topology-routed façade ---
 
-// TestOverVariantsMatchFlatLegacy: the engine-taking entry points agree
-// exactly with the legacy explicit-bandwidth ones when the engine is the
-// equivalent contended flat link — the façade contract that kept every
-// seed golden green across the topo refactor.
+// TestOverVariantsMatchFlatLegacy: on the flat topology a contended
+// engine costs exactly what a single link at the pre-computed per-
+// endpoint share costs (the seed model's explicit-bandwidth form) — the
+// façade contract that kept every seed golden green across the topo
+// refactor.
 func TestOverVariantsMatchFlatLegacy(t *testing.T) {
 	cl := hw.ABCI()
 	b := NCCL()
 	share := cl.NetBW / unit.BytesPerSec(float64(cl.Node.Devices))
 	e := topo.Engine{T: cl.Topo(), Concurrent: cl.Node.Devices}
 	n := unit.Bytes(200 << 20)
-	if got, want := RingAllReduceOver(e, n, 128, b), RingAllReduce(n, 128, share, b); got != want {
+	if got, want := RingAllReduceOver(e, n, 128, b), RingAllReduceOver(flat(share), n, 128, b); got != want {
 		t.Errorf("RingAllReduceOver = %v, legacy %v", got, want)
 	}
 	sizes := []unit.Bytes{1 << 20, 64 << 20, 1 << 10, 128 << 20}
 	over := RingPhasedGroupsOver(e, sizes, 128, b)
-	legacy := RingPhasedGroups(sizes, 128, share, b)
+	legacy := RingPhasedGroupsOver(flat(share), sizes, 128, b)
 	if len(over) != len(legacy) {
 		t.Fatalf("group counts differ: %d vs %d", len(over), len(legacy))
 	}
@@ -222,10 +233,10 @@ func TestOverVariantsMatchFlatLegacy(t *testing.T) {
 			t.Errorf("group %d: %+v vs %+v", i, over[i], legacy[i])
 		}
 	}
-	if got, want := PointToPointOver(e, n, false, b), PointToPoint(n, share, b); got != want {
+	if got, want := PointToPointOver(e, n, false, b), PointToPointOver(flat(share), n, false, b); got != want {
 		t.Errorf("PointToPointOver inter = %v, legacy %v", got, want)
 	}
-	if got, want := PointToPointOver(e, n, true, b), PointToPoint(n, cl.Node.IntraBW, b); got != want {
+	if got, want := PointToPointOver(e, n, true, b), PointToPointOver(flat(cl.Node.IntraBW), n, false, b); got != want {
 		t.Errorf("PointToPointOver intra = %v, legacy NVLink %v", got, want)
 	}
 }

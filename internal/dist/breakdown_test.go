@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -166,6 +167,53 @@ func TestExportKARMA(t *testing.T) {
 	}
 	if len(ex2.Compiled.Ops) == 0 {
 		t.Fatal("in-core export has no ops")
+	}
+}
+
+// TestExportKARMAIsCostedPlan: the exported KARMA plan is the plan the
+// evaluator costed — its simulated makespan plus the replica's update
+// cost is the verdict's IterTime, exactly — for every out-of-core
+// variant of the replica derivation, in both the activation-streaming
+// (4 GiB) and the weight-streaming (2 GiB) regime.
+func TestExportKARMAIsCostedPlan(t *testing.T) {
+	g, cl := streamingConfig()
+	const gpus, batch = 16, 8
+	for _, mem := range []unit.Bytes{4 * unit.GiB, 2 * unit.GiB} {
+		cl.Node.Device.MemCapacity = mem
+		for _, c := range []struct {
+			name string
+			o    KARMAOptions
+		}{
+			{"plain", KARMAOptions{}},
+			{"zero_shard", KARMAOptions{ZeROShard: true}},
+			{"update_on_device", KARMAOptions{UpdateOnDevice: true}},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", mem, c.name), func(t *testing.T) {
+				pe := NewPlanned()
+				ex, err := pe.ExportKARMA(g, cl, gpus, batch, samples, c.o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Result.Backend != "planned" {
+					t.Fatalf("backend %q, want planned", ex.Result.Backend)
+				}
+				gs := 1.0
+				if c.o.ZeROShard {
+					gs = 1 / float64(gpus)
+				}
+				p, err := pe.profile(g, cl.Node, batch, c.o.Precision.DType())
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := pe.replicaSchedule(p, gs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := ex.Timeline.Makespan+updateCost(s, cl, c.o, gs), ex.Result.IterTime; got != want {
+					t.Errorf("exported makespan + update = %v, costed IterTime %v", got, want)
+				}
+			})
+		}
 	}
 }
 

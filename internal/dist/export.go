@@ -6,7 +6,6 @@ import (
 	"karma/internal/comm"
 	"karma/internal/graph"
 	"karma/internal/hw"
-	"karma/internal/karma"
 	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/sim"
@@ -43,7 +42,8 @@ func exportable(r *Result) (*Result, error) {
 // — the export always runs the partition search (an in-core profile
 // plans to all-resident blocks), so every feasible configuration yields
 // a concrete plan. The schedule and profile come from the evaluator's
-// memo caches; the plan, compilation and timeline are fresh.
+// caches and the lowering is plannedIter's own (replicaSchedule,
+// replicaPlan); the plan, compilation and timeline are fresh.
 func (pe *Planned) ExportKARMA(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*PlanExport, error) {
 	res, err := pe.KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
 	if err != nil {
@@ -60,23 +60,13 @@ func (pe *Planned) ExportKARMA(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBa
 	if o.ZeROShard {
 		gs = 1 / float64(gpus)
 	}
-	opts := karma.Options{GradScale: gs, Seed: 1}
-	s, err := pe.plan(p, opts)
-	if err != nil {
-		opts.StreamWeights = true
-		if s, err = pe.plan(p, opts); err != nil {
-			return nil, err
-		}
-	}
-	pl, err := karma.BuildPlan(s)
+	s, err := pe.replicaSchedule(p, gs)
 	if err != nil {
 		return nil, err
 	}
-	if o.UpdateOnDevice {
-		addMomentumTraffic(pl, s, cl, o, gpus)
-	}
-	if gpus > 1 {
-		injectExchange(pl, s, cl, gpus)
+	pl, err := replicaPlan(s, cl, gpus, o)
+	if err != nil {
+		return nil, err
 	}
 	c, tl, err := pl.Simulate(s.Budget)
 	if err != nil {
@@ -142,12 +132,7 @@ func (pe *Planned) ExportPipeline(cfg model.TransformerConfig, cl hw.Cluster, st
 	replicas := gpus / stages
 	backend := comm.Pick(stages * replicas)
 	wire, local := pipeWire(cl, stages, backend)
-	sb, best := 0, unit.Seconds(-1)
-	for s, st := range sts {
-		if r := st.rate(wire); r > best {
-			best, sb = r, s
-		}
-	}
+	sb, _ := bottleneckStage(sts, wire)
 	st := sts[sb]
 	pl := buildStagePlan(st, micro, wire, local, sb, len(sts))
 	budget := pipelineBudget(st, cl, o)

@@ -72,7 +72,7 @@ func nodeShareBW(cl hw.Cluster) unit.BytesPerSec {
 // schedule — all-resident, or checkpointed under o.Checkpoint. Both
 // evaluator backends go through it — so feasibility verdicts agree by
 // construction — and both draw the shard build, profile and schedule
-// from the process-wide memo caches (memo.go): grid points sharing
+// from the process-wide caches (caches.go): grid points sharing
 // (model, mp, batch, precision) profile and partition the shard exactly
 // once, concurrent sweep workers included. A non-nil Result reports an
 // infeasible configuration. With zero set, gradient and optimizer state

@@ -69,6 +69,19 @@ func (st pipeStage) rate(wire func(unit.Bytes) unit.Seconds) unit.Seconds {
 	return r
 }
 
+// bottleneckStage returns the index and rate of the slowest stage — the
+// one that sets the steady-state period (the first such on ties). Both
+// backends simulate or attribute from this stage's seat.
+func bottleneckStage(sts []pipeStage, wire func(unit.Bytes) unit.Seconds) (int, unit.Seconds) {
+	sb, best := 0, unit.Seconds(0)
+	for s, st := range sts {
+		if r := st.rate(wire); r > best {
+			sb, best = s, r
+		}
+	}
+	return sb, best
+}
+
 // fixedBytes is the stage's micro-batch-independent residency: weights,
 // gradients and the fp32 master (pipeline parallelism shards none of
 // them). The shared capacity verdict and the planned backend's
@@ -232,14 +245,9 @@ func pipelineCost(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o
 	wire, local := pipeWire(cl, stages, backend)
 
 	var c pipeCost
-	var bottleneck unit.Seconds
-	sb := 0
-	for s, st := range sts {
+	sb, bottleneck := bottleneckStage(sts, wire)
+	for _, st := range sts {
 		c.traversal += st.perMicro() + wire(st.OutBytes)*2 // boundary: activation out, gradient back
-		if r := st.rate(wire); r > bottleneck {
-			bottleneck = r
-			sb = s
-		}
 		if u := unit.ComputeTime(st.UpdateFLOPs, cl.Node.Device.SustainedFLOPS()); u > c.update {
 			c.update = u
 		}

@@ -10,6 +10,7 @@ import (
 	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/karma"
+	"karma/internal/memo"
 	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/profiler"
@@ -37,10 +38,11 @@ import (
 // design. Distinct graphs must be distinct pointers (true for every
 // model.Build/model.Transformer call site).
 //
-// Both caches are singleflight memos (memo.go), so one shared Planned
-// serves a parallel sweep: concurrent grid points that need the same
-// replica profile or partition search block on one computation instead
-// of duplicating or serializing it, and distinct keys plan in parallel.
+// Both caches are singleflight LRUs (internal/memo), so one shared
+// Planned serves a parallel sweep: concurrent grid points that need the
+// same replica profile or partition search block on one computation
+// instead of duplicating or serializing it, and distinct keys plan in
+// parallel.
 // The hybrid and pipeline shard builds/profiles/schedules come from the
 // process-wide caches both backends share (see hybridSetup).
 //
@@ -57,8 +59,8 @@ import (
 // its "analytic" tag in Result.Backend) rather than diverging on the
 // feasibility verdict.
 type Planned struct {
-	profiles  memo[profileKey, *profiler.Profile]
-	schedules memo[schedKey, planOutcome]
+	profiles  *memo.Cache[profileKey, *profiler.Profile]
+	schedules *memo.Cache[schedKey, planOutcome]
 
 	// observe, when set, receives the wall-clock duration of each
 	// evaluation phase (see Observe). nil on the hot path: no clock reads.
@@ -108,7 +110,10 @@ type schedKey struct {
 
 // NewPlanned returns a planner-backed evaluator with empty caches.
 func NewPlanned() *Planned {
-	return &Planned{}
+	return &Planned{
+		profiles:  memo.New[profileKey, *profiler.Profile](0),
+		schedules: memo.New[schedKey, planOutcome](0),
+	}
 }
 
 // errForcedFallback is returned by the simulation paths under the
@@ -121,7 +126,7 @@ func (*Planned) Name() string { return "planned" }
 // profile returns the cached per-replica profile.
 func (pe *Planned) profile(g *graph.Graph, node hw.Node, batch int, dt tensor.DType) (*profiler.Profile, error) {
 	key := profileKey{g: g, node: node, batch: batch, dt: dt}
-	return pe.profiles.do(key, func() (*profiler.Profile, error) {
+	return pe.profiles.Do(key, func() (*profiler.Profile, error) {
 		return profiler.New(g, node, profiler.Options{Batch: batch, DType: dt})
 	})
 }
@@ -131,7 +136,7 @@ func (pe *Planned) profile(g *graph.Graph, node hw.Node, batch int, dt tensor.DT
 // deterministic as a schedule and is cached as a value — plannedIter
 // probes the residency regime first and falls back to weight-streaming
 // on failure, and a sweep must not re-run that failing search per grid
-// point. The memo itself never retains errors (transient failures would
+// point. The cache itself never retains errors (transient failures would
 // retry); the error lives inside the value by the caller's choice.
 type planOutcome struct {
 	s   *karma.Schedule
@@ -140,7 +145,7 @@ type planOutcome struct {
 
 // plan returns the cached planner schedule for (profile, options).
 func (pe *Planned) plan(p *profiler.Profile, opts karma.Options) (*karma.Schedule, error) {
-	out, _ := pe.schedules.do(schedKey{p: p, opts: opts}, func() (planOutcome, error) {
+	out, _ := pe.schedules.Do(schedKey{p: p, opts: opts}, func() (planOutcome, error) {
 		s, err := karma.Plan(p, opts)
 		return planOutcome{s: s, err: err}, nil
 	})
@@ -214,35 +219,14 @@ func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o K
 	if pe.failSim {
 		return 0, nil, errForcedFallback
 	}
-	// Prefer the single-GPU residency regime (weights resident, only
-	// activations stream); when weights cannot stay resident, plan the
-	// §III-G weight-streaming regime instead.
-	opts := karma.Options{GradScale: gs, Seed: 1}
 	var s *karma.Schedule
 	var err error
-	pe.timed("search", func() {
-		s, err = pe.plan(p, opts)
-		if err != nil {
-			opts.StreamWeights = true
-			s, err = pe.plan(p, opts)
-		}
-	})
+	pe.timed("search", func() { s, err = pe.replicaSchedule(p, gs) })
 	if err != nil {
 		return 0, nil, err
 	}
 	var pl *plan.Plan
-	pe.timed("plan_build", func() {
-		pl, err = karma.BuildPlan(s)
-		if err != nil {
-			return
-		}
-		if o.UpdateOnDevice {
-			addMomentumTraffic(pl, s, cl, o, gpus)
-		}
-		if gpus > 1 {
-			injectExchange(pl, s, cl, gpus)
-		}
-	})
+	pe.timed("plan_build", func() { pl, err = replicaPlan(s, cl, gpus, o) })
 	if err != nil {
 		return 0, nil, err
 	}
@@ -258,6 +242,37 @@ func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o K
 	b := timelineBreakdown(c, tl)
 	b.Update += upd
 	return tl.Makespan + upd, b, nil
+}
+
+// replicaSchedule runs the KARMA replica's partition search at gradient
+// scale gs. It prefers the single-GPU residency regime (weights
+// resident, only activations stream); when weights cannot stay
+// resident, it plans the §III-G weight-streaming regime instead.
+func (pe *Planned) replicaSchedule(p *profiler.Profile, gs float64) (*karma.Schedule, error) {
+	opts := karma.Options{GradScale: gs, Seed: 1}
+	s, err := pe.plan(p, opts)
+	if err != nil {
+		opts.StreamWeights = true
+		s, err = pe.plan(p, opts)
+	}
+	return s, err
+}
+
+// replicaPlan lowers a replica schedule to the plan IR with the A4
+// momentum traffic (under UpdateOnDevice) and the phased gradient
+// exchange injected.
+func replicaPlan(s *karma.Schedule, cl hw.Cluster, gpus int, o KARMAOptions) (*plan.Plan, error) {
+	pl, err := karma.BuildPlan(s)
+	if err != nil {
+		return nil, err
+	}
+	if o.UpdateOnDevice {
+		addMomentumTraffic(pl, s, cl, o, gpus)
+	}
+	if gpus > 1 {
+		injectExchange(pl, s, cl, gpus)
+	}
+	return pl, nil
 }
 
 // updateCost returns the weight-update time on the iteration's critical

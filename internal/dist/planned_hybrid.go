@@ -247,8 +247,8 @@ func firstWeightedBlock(s *karma.Schedule) int {
 // injectHybridExchange adds the data-parallel gradient exchange across
 // the shard's replicas. Bulk mode appends one ring collective after the
 // whole backward pass; phased mode groups per-block payloads in backward
-// completion order (comm.RingPhasedGroups) and launches each phase right
-// after the backward that completes it. Under ZeRO each phase is the
+// completion order (comm.RingPhasedGroupsOver) and launches each phase
+// right after the backward that completes it. Under ZeRO each phase is the
 // reduce-scatter half, and the matching parameter all-gather half
 // prefetches ahead of the forward pass that consumes it (steady state),
 // filling the network gaps between the blocking forward collectives.

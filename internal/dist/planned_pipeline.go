@@ -68,13 +68,7 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 	backend := comm.Pick(stages * replicas)
 	wire, local := pipeWire(cl, stages, backend)
 
-	// The bottleneck stage under the same rate metric as the closed form.
-	sb, best := 0, unit.Seconds(-1)
-	for s, st := range sts {
-		if r := st.rate(wire); r > best {
-			best, sb = r, s
-		}
-	}
+	sb, _ := bottleneckStage(sts, wire)
 	st := sts[sb]
 	var pl *plan.Plan
 	pe.timed("plan_build", func() {

@@ -227,13 +227,3 @@ func ABCI() Cluster {
 		NetLatency: 2e-6,
 	}
 }
-
-// WithDevices returns a copy of the cluster resized to the given total
-// device count (rounded up to whole nodes), for GPU-count sweeps (Fig. 8).
-func (c Cluster) WithDevices(total int) Cluster {
-	perNode := c.Node.Devices
-	nodes := (total + perNode - 1) / perNode
-	out := c
-	out.Nodes = nodes
-	return out
-}

@@ -65,21 +65,6 @@ func TestABCICluster(t *testing.T) {
 	}
 }
 
-func TestWithDevices(t *testing.T) {
-	c := ABCI()
-	for _, want := range []int{128, 512, 2048} {
-		r := c.WithDevices(want)
-		if got := r.TotalDevices(); got != want {
-			t.Errorf("WithDevices(%d) = %d devices", want, got)
-		}
-	}
-	// Rounds up to whole nodes.
-	r := c.WithDevices(5)
-	if r.Nodes != 2 {
-		t.Errorf("WithDevices(5) nodes = %d, want 2", r.Nodes)
-	}
-}
-
 func TestHostSustained(t *testing.T) {
 	h := ABCIHost()
 	if h.SustainedFLOPS() <= 0 || h.SustainedFLOPS() >= h.PeakFLOPS {
@@ -151,9 +136,5 @@ func TestClusterWithTopology(t *testing.T) {
 	}
 	if err := tp.Validate(); err != nil {
 		t.Errorf("abci topology invalid: %v", err)
-	}
-	// Resizing the cluster preserves the topology.
-	if got := c.WithDevices(512).Topo().Name; got != "abci" {
-		t.Errorf("WithDevices dropped the topology: %q", got)
 	}
 }

@@ -1,19 +1,17 @@
-package dist
+package memo
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"karma/internal/profiler"
 )
 
-// TestMemoSingleflight checks the dedup contract: concurrent callers of
+// TestSingleflight checks the dedup contract: concurrent callers of
 // one key share exactly one computation, distinct keys compute in
 // parallel (not serialized behind each other's fn).
-func TestMemoSingleflight(t *testing.T) {
-	var c memo[int, int]
+func TestSingleflight(t *testing.T) {
+	c := New[int, int](0)
 	var calls atomic.Int64
 	const goroutines = 32
 	var wg sync.WaitGroup
@@ -22,7 +20,7 @@ func TestMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v, err := c.do(7, func() (int, error) {
+			v, err := c.Do(7, func() (int, error) {
 				calls.Add(1)
 				return 42, nil
 			})
@@ -43,12 +41,12 @@ func TestMemoSingleflight(t *testing.T) {
 	}
 }
 
-// TestMemoErrorNotCached checks the daemon-safety half of the contract:
+// TestErrorNotCached checks the daemon-safety half of the contract:
 // a failing computation is forgotten as soon as its error is observed,
 // so the next lookup retries — a transient failure must not poison a
 // key for the life of the process.
-func TestMemoErrorNotCached(t *testing.T) {
-	var c memo[string, int]
+func TestErrorNotCached(t *testing.T) {
+	c := New[string, int](0)
 	calls := 0
 	boom := fmt.Errorf("transient")
 	fn := func() (int, error) {
@@ -58,13 +56,13 @@ func TestMemoErrorNotCached(t *testing.T) {
 		}
 		return 99, nil
 	}
-	if _, err := c.do("k", fn); err != boom {
+	if _, err := c.Do("k", fn); err != boom {
 		t.Fatalf("first call: err = %v, want %v", err, boom)
 	}
-	if got := c.len(); got != 0 {
+	if got := c.Stats().Entries; got != 0 {
 		t.Fatalf("after error: %d entries resident, want 0", got)
 	}
-	v, err := c.do("k", fn)
+	v, err := c.Do("k", fn)
 	if err != nil || v != 99 {
 		t.Fatalf("retry: got (%d, %v), want (99, nil)", v, err)
 	}
@@ -72,17 +70,17 @@ func TestMemoErrorNotCached(t *testing.T) {
 		t.Fatalf("fn ran %d times, want 2 (fail once, retry once)", calls)
 	}
 	// The successful retry is cached normally.
-	v, err = c.do("k", func() (int, error) { t.Error("recomputed a cached success"); return 0, nil })
+	v, err = c.Do("k", func() (int, error) { t.Error("recomputed a cached success"); return 0, nil })
 	if err != nil || v != 99 {
 		t.Fatalf("cached: got (%d, %v), want (99, nil)", v, err)
 	}
 }
 
-// TestMemoErrorSharedByFlight checks that callers concurrent with a
+// TestErrorSharedByFlight checks that callers concurrent with a
 // failing computation all see its error (singleflight), while callers
 // arriving after it resolved start a fresh computation.
-func TestMemoErrorSharedByFlight(t *testing.T) {
-	var c memo[int, int]
+func TestErrorSharedByFlight(t *testing.T) {
+	c := New[int, int](0)
 	var calls atomic.Int64
 	boom := fmt.Errorf("flight failure")
 	release := make(chan struct{})
@@ -108,7 +106,7 @@ func TestMemoErrorSharedByFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			vals[g], errs[g] = c.do(1, fn)
+			vals[g], errs[g] = c.Do(1, fn)
 		}(g)
 	}
 	<-started
@@ -128,53 +126,53 @@ func TestMemoErrorSharedByFlight(t *testing.T) {
 		t.Error("no waiter observed the failing flight's error")
 	}
 	// Post-flight lookup never sees the stale error.
-	v, err := c.do(1, fn)
+	v, err := c.Do(1, fn)
 	if err != nil || v != 5 {
 		t.Fatalf("post-flight: got (%d, %v), want (5, nil)", v, err)
 	}
 }
 
-// TestMemoLRUEviction checks the bound: inserting past the limit evicts
+// TestLRUEviction checks the bound: inserting past the limit evicts
 // the least-recently-used key, a re-lookup of an evicted key recomputes
 // (and re-caches) it, and recently-touched keys survive.
-func TestMemoLRUEviction(t *testing.T) {
-	c := memo[int, int]{limit: 3}
+func TestLRUEviction(t *testing.T) {
+	c := New[int, int](3)
 	compute := func(k int) func() (int, error) {
 		return func() (int, error) { return k * 10, nil }
 	}
 	for k := 0; k < 3; k++ {
-		if v, _ := c.do(k, compute(k)); v != k*10 {
+		if v, _ := c.Do(k, compute(k)); v != k*10 {
 			t.Fatalf("do(%d) = %d", k, v)
 		}
 	}
 	// Touch 0 so 1 becomes the LRU, then insert 3 to force an eviction.
-	c.do(0, compute(0))
-	c.do(3, compute(3))
-	if got := c.len(); got != 3 {
+	c.Do(0, compute(0))
+	c.Do(3, compute(3))
+	if got := c.Stats().Entries; got != 3 {
 		t.Fatalf("%d entries resident, want 3", got)
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	// 0, 2, 3 are resident; 1 was evicted and recomputes.
 	recomputed := false
-	v, _ := c.do(1, func() (int, error) { recomputed = true; return 10, nil })
+	v, _ := c.Do(1, func() (int, error) { recomputed = true; return 10, nil })
 	if !recomputed || v != 10 {
 		t.Fatalf("evicted key: recomputed=%v v=%d, want true 10", recomputed, v)
 	}
 	// 0 survived its touch (the insert of 3 evicted 1, not 0)... but the
 	// re-insert of 1 just evicted the then-LRU 2. Check 0 is still cached.
-	c.do(0, func() (int, error) { t.Error("recently-used key was evicted"); return 0, nil })
+	c.Do(0, func() (int, error) { t.Error("recently-used key was evicted"); return 0, nil })
 }
 
-// TestMemoEvictionUnderConcurrency hammers a tiny-limit memo from many
+// TestEvictionUnderConcurrency hammers a tiny-limit cache from many
 // goroutines over a keyspace far larger than the bound — constant
 // eviction churn, interleaved with singleflight joins — and checks every
 // returned value is the key's pure function. Run under -race this is
 // the eviction-path data-race gate.
-func TestMemoEvictionUnderConcurrency(t *testing.T) {
-	c := memo[int, int]{limit: 4}
+func TestEvictionUnderConcurrency(t *testing.T) {
+	c := New[int, int](4)
 	const goroutines = 16
 	const lookups = 400
 	const keyspace = 32
@@ -185,7 +183,7 @@ func TestMemoEvictionUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < lookups; i++ {
 				k := (g*7 + i) % keyspace
-				v, err := c.do(k, func() (int, error) { return k * k, nil })
+				v, err := c.Do(k, func() (int, error) { return k * k, nil })
 				if err != nil {
 					t.Errorf("do(%d): %v", k, err)
 					return
@@ -198,10 +196,10 @@ func TestMemoEvictionUnderConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.len(); got > 4 {
+	if got := c.Stats().Entries; got > 4 {
 		t.Errorf("%d entries resident, limit 4", got)
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Evictions == 0 {
 		t.Error("no evictions under a keyspace 8x the limit")
 	}
@@ -210,23 +208,12 @@ func TestMemoEvictionUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestMemoStatsAggregate checks the exported stats surfaces sum their
-// member caches (the /stats endpoint of karma-serve reads these).
-func TestMemoStatsAggregate(t *testing.T) {
-	pe := NewPlanned()
-	if s := pe.CacheStats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("fresh evaluator stats = %+v, want zeros", s)
-	}
-	pe.profiles.do(profileKey{batch: 1}, func() (*profiler.Profile, error) {
-		return nil, nil
-	})
-	if s := pe.CacheStats(); s.Misses != 1 || s.Entries != 1 {
-		t.Fatalf("after one miss: %+v", s)
-	}
-	// The shared caches are process-wide: only check the snapshot is
-	// coherent (entries resident implies lookups happened).
-	sh := SharedCacheStats()
-	if sh.Entries > 0 && sh.Hits+sh.Misses == 0 {
-		t.Errorf("shared stats incoherent: %+v", sh)
+// TestStatsAdd checks snapshots accumulate field by field (the dist and
+// serve stats surfaces sum several caches this way).
+func TestStatsAdd(t *testing.T) {
+	s := Stats{Hits: 1, Misses: 2, Evictions: 3, Entries: 4}
+	s.Add(Stats{Hits: 10, Misses: 20, Evictions: 30, Entries: 40})
+	if want := (Stats{Hits: 11, Misses: 22, Evictions: 33, Entries: 44}); s != want {
+		t.Errorf("sum = %+v, want %+v", s, want)
 	}
 }

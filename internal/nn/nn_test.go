@@ -532,48 +532,18 @@ func TestSGDMomentum(t *testing.T) {
 	}
 }
 
-func TestMaxPoolForwardBackward(t *testing.T) {
-	p := NewMaxPool2D("pool")
-	x := NewTensor(1, 1, 2, 2)
-	x.Data = []float32{1, 5, 3, 2}
-	y := p.Forward(x)
-	if len(y.Data) != 1 || y.Data[0] != 5 {
-		t.Fatalf("pool output = %v", y.Data)
-	}
-	dy := NewTensor(1, 1, 1, 1)
-	dy.Data[0] = 7
-	dx := p.Backward(dy)
-	want := []float32{0, 7, 0, 0}
-	for i := range want {
-		if dx.Data[i] != want[i] {
-			t.Errorf("dx[%d] = %v, want %v", i, dx.Data[i], want[i])
-		}
-	}
-}
-
-func TestMaxPoolOddExtentPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd extent should panic")
-		}
-	}()
-	NewMaxPool2D("p").Forward(NewTensor(1, 1, 3, 3))
-}
-
-// TestPooledCNNOOCEquivalence: the full conv+pool chain stays bitwise
-// identical under mixed out-of-core policies (argmax indices are
-// rematerialized by replay deterministically).
-func TestPooledCNNOOCEquivalence(t *testing.T) {
+// TestConvChainOOCEquivalence: a conv chain whose recomputed run spans
+// a ReLU into the next convolution stays bitwise identical under mixed
+// out-of-core policies.
+func TestConvChainOOCEquivalence(t *testing.T) {
 	build := func(seed uint64) *Sequential {
 		r := NewRNG(seed)
 		return NewSequential(
 			NewConv2D("conv1", 1, 4, 3, 1, r),
 			NewReLU("relu1"),
-			NewMaxPool2D("pool1"),
 			NewConv2D("conv2", 4, 8, 3, 1, r),
-			NewMaxPool2D("pool2"),
 			NewFlatten("flatten"),
-			NewDense("fc", 8*2*2, 4, r),
+			NewDense("fc", 8*8*8, 4, r),
 		)
 	}
 	run := func(policies []Policy) *Sequential {
@@ -599,12 +569,12 @@ func TestPooledCNNOOCEquivalence(t *testing.T) {
 		}
 		return m
 	}
-	ref := run(make([]Policy, 7))
-	ooc := run([]Policy{Swap, Recompute, Recompute, Swap, Recompute, Swap, Keep})
+	ref := run(allKeep(5))
+	ooc := run([]Policy{Swap, Recompute, Recompute, Swap, Keep})
 	rp, op := ref.Params(), ooc.Params()
 	for i := range rp {
 		if !rp[i].Equal(op[i]) {
-			t.Fatalf("parameter %d differs with pooling under OOC", i)
+			t.Fatalf("conv chain parameter %d differs under OOC", i)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"karma/internal/experiments"
 	"karma/internal/graph"
 	"karma/internal/hw"
+	"karma/internal/memo"
 	"karma/internal/model"
 	"karma/internal/tensor"
 	"karma/internal/topo"
@@ -206,17 +207,17 @@ func (r *EvaluateRequest) normalize() error {
 // internal/dist; named graph models the serve-level cache — either way
 // repeated requests reuse one *graph.Graph, which keeps the planner's
 // pointer-keyed caches hitting.
-func (r *EvaluateRequest) graphFor(graphs *flightCache[*graph.Graph]) (*graph.Graph, error) {
+func (r *EvaluateRequest) graphFor(graphs *memo.Cache[string, *graph.Graph]) (*graph.Graph, error) {
 	if r.Transformer != nil {
 		return dist.CachedTransformer(*r.Transformer), nil
 	}
-	return graphs.do(r.Model, func() (*graph.Graph, error) {
+	return graphs.Do(r.Model, func() (*graph.Graph, error) {
 		return model.Build(r.Model)
 	})
 }
 
 // evaluate runs the normalized request against the evaluator.
-func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *flightCache[*graph.Graph]) (*dist.Result, error) {
+func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *memo.Cache[string, *graph.Graph]) (*dist.Result, error) {
 	cl, err := r.Cluster.cluster()
 	if err != nil {
 		return nil, err

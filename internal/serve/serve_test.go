@@ -297,7 +297,7 @@ func TestEvaluateCanonicalization(t *testing.T) {
 			t.Fatalf("variant %d body differs:\n%s\nvs\n%s", i, got, ref)
 		}
 	}
-	st := s.cache.stats()
+	st := s.cache.Stats()
 	if st.Misses != 1 || st.Hits != uint64(len(variants)-1) {
 		t.Errorf("cache = %+v, want 1 miss and %d hits (one key for all variants)", st, len(variants)-1)
 	}
@@ -428,7 +428,7 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	if st := s.cache.stats(); st.Entries != 0 {
+	if st := s.cache.Stats(); st.Entries != 0 {
 		t.Errorf("rejected requests must not populate the response cache, got %+v", st)
 	}
 }

@@ -24,7 +24,7 @@
 // cached responses stay byte-identical across requests.
 //
 // The serving stack is three bounded layers. A canonicalized-request
-// LRU response cache (flightCache) returns byte-identical bodies for
+// LRU response cache (internal/memo) returns byte-identical bodies for
 // semantically identical requests and singleflights identical
 // concurrent ones down to a single evaluation. Below it, the evaluator
 // memos in internal/dist (bounded LRUs since the same PR) dedupe shared
@@ -56,6 +56,7 @@ import (
 
 	"karma/internal/dist"
 	"karma/internal/graph"
+	"karma/internal/memo"
 )
 
 // Config tunes a Server. The zero value serves with NumCPU sweep
@@ -88,8 +89,8 @@ type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	evals   map[string]dist.Evaluator
-	cache   *flightCache[[]byte]
-	graphs  *flightCache[*graph.Graph]
+	cache   *memo.Cache[string, []byte] // response bodies by canonical request key
+	graphs  *memo.Cache[string, *graph.Graph]
 	metrics *metrics
 	build   buildInfo
 	slots   chan struct{}
@@ -105,6 +106,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.NumCPU()
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = 1024
+	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 120 * time.Second
 	}
@@ -117,14 +121,14 @@ func New(cfg Config) *Server {
 		log: log,
 		// One long-lived evaluator per backend: the planned evaluator's
 		// instance memos are request-spanning by design, and bounded
-		// (internal/dist memo LRU), so holding it for the process
+		// (internal/memo LRUs), so holding it for the process
 		// lifetime is safe.
 		evals: map[string]dist.Evaluator{
 			"analytic": dist.Analytic{},
 			"planned":  dist.NewPlanned(),
 		},
-		cache:   newFlightCache[[]byte](cfg.CacheEntries),
-		graphs:  newFlightCache[*graph.Graph](64),
+		cache:   memo.New[string, []byte](cfg.CacheEntries),
+		graphs:  memo.New[string, *graph.Graph](64),
 		metrics: newMetrics(),
 		build:   readBuildInfo(),
 		slots:   make(chan struct{}, cfg.MaxInFlight),
@@ -302,7 +306,7 @@ func (s *Server) computeRaw(ctx context.Context, endpoint, key string, fn func()
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		body, err := s.cache.do(key, func() ([]byte, error) {
+		body, err := s.cache.Do(key, func() ([]byte, error) {
 			if s.evalHook != nil {
 				s.evalHook(endpoint)
 			}
@@ -440,8 +444,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	planned, _ := s.evals["planned"].(*dist.Planned)
 	caches := []cacheStats{
-		{name: "response", s: s.cache.stats()},
-		{name: "graphs", s: s.graphs.stats()},
+		{name: "response", s: s.cache.Stats()},
+		{name: "graphs", s: s.graphs.Stats()},
 		{name: "evaluator_shared", s: dist.SharedCacheStats()},
 	}
 	if planned != nil {

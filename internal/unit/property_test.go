@@ -3,6 +3,7 @@ package unit
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,49 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
-// The String methods render with two decimals (one for bandwidth), so
-// Parse(String(x)) recovers x only up to formatting precision. The
+// Unit suffixes the String methods emit, with their multipliers.
+var (
+	byteUnits = map[string]float64{
+		"B": 1, "KiB": float64(KiB), "MiB": float64(MiB),
+		"GiB": float64(GiB), "TiB": float64(TiB),
+	}
+	flopUnits = map[string]float64{
+		"FLOP": 1, "KFLOP": float64(KFLOP), "MFLOP": float64(MFLOP),
+		"GFLOP": float64(GFLOP), "TFLOP": float64(TFLOP),
+	}
+	flopsRateUnits = map[string]float64{
+		"FLOP/s": 1, "KFLOP/s": float64(KFLOP), "MFLOP/s": float64(MFLOP),
+		"GFLOP/s": float64(GFLOP), "TFLOP/s": float64(TFLOP),
+	}
+	bandwidthUnits = map[string]float64{
+		"B/s": 1, "KB/s": float64(KBps), "MB/s": float64(MBps), "GB/s": float64(GBps),
+	}
+	secondsUnits = map[string]float64{
+		"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1, "min": 60, "h": 3600,
+	}
+)
+
+// readBack inverts a "<number> <unit>" String rendering through the
+// unit's multiplier, failing the test on any other shape or suffix.
+func readBack(t *testing.T, s string, units map[string]float64) float64 {
+	t.Helper()
+	f := strings.Fields(s)
+	if len(f) != 2 {
+		t.Fatalf("rendering %q is not \"<number> <unit>\"", s)
+	}
+	v, err := strconv.ParseFloat(f[0], 64)
+	if err != nil {
+		t.Fatalf("rendering %q: bad number: %v", s, err)
+	}
+	m, ok := units[f[1]]
+	if !ok {
+		t.Fatalf("rendering %q: unknown unit %q", s, f[1])
+	}
+	return v * m
+}
+
+// The String methods render with two decimals (one for bandwidth), so a
+// rendering recovers its value only up to formatting precision. The
 // bounds below are the worst case just above each prefix boundary
 // (e.g. "1.00 KiB" for anything in [1019.1, 1029.1] bytes).
 const (
@@ -32,12 +74,9 @@ func TestBytesRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			v = -v
 		}
-		got, err := ParseBytes(v.String())
-		if err != nil {
-			t.Fatalf("ParseBytes(%q): %v", v.String(), err)
-		}
-		if relErr(float64(got), float64(v)) > tolTwoDecimals {
-			t.Fatalf("round trip %d -> %q -> %d", v, v.String(), got)
+		got := readBack(t, v.String(), byteUnits)
+		if relErr(got, float64(v)) > tolTwoDecimals {
+			t.Fatalf("round trip %d -> %q -> %v", v, v.String(), got)
 		}
 	}
 }
@@ -49,12 +88,9 @@ func TestFLOPsRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			v = -v
 		}
-		got, err := ParseFLOPs(v.String())
-		if err != nil {
-			t.Fatalf("ParseFLOPs(%q): %v", v.String(), err)
-		}
-		if relErr(float64(got), float64(v)) > tolTwoDecimals {
-			t.Fatalf("round trip %d -> %q -> %d", v, v.String(), got)
+		got := readBack(t, v.String(), flopUnits)
+		if relErr(got, float64(v)) > tolTwoDecimals {
+			t.Fatalf("round trip %d -> %q -> %v", v, v.String(), got)
 		}
 	}
 }
@@ -67,12 +103,9 @@ func TestSecondsRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			v = -v
 		}
-		got, err := ParseSeconds(v.String())
-		if err != nil {
-			t.Fatalf("ParseSeconds(%q): %v", v.String(), err)
-		}
-		if relErr(float64(got), float64(v)) > tolSeconds {
-			t.Fatalf("round trip %v -> %q -> %v", float64(v), v.String(), float64(got))
+		got := readBack(t, v.String(), secondsUnits)
+		if relErr(got, float64(v)) > tolSeconds {
+			t.Fatalf("round trip %v -> %q -> %v", float64(v), v.String(), got)
 		}
 	}
 }
@@ -85,12 +118,9 @@ func TestBytesPerSecRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			v = -v
 		}
-		got, err := ParseBytesPerSec(v.String())
-		if err != nil {
-			t.Fatalf("ParseBytesPerSec(%q): %v", v.String(), err)
-		}
-		if relErr(float64(got), float64(v)) > tolBandwidth {
-			t.Fatalf("round trip %v -> %q -> %v", float64(v), v.String(), float64(got))
+		got := readBack(t, v.String(), bandwidthUnits)
+		if relErr(got, float64(v)) > tolBandwidth {
+			t.Fatalf("round trip %v -> %q -> %v", float64(v), v.String(), got)
 		}
 	}
 }
@@ -104,12 +134,9 @@ func TestFLOPSRateRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			v = -v
 		}
-		got, err := ParseFLOPSRate(v.String())
-		if err != nil {
-			t.Fatalf("ParseFLOPSRate(%q): %v", v.String(), err)
-		}
-		if relErr(float64(got), float64(v)) > tolTwoDecimals {
-			t.Fatalf("round trip %v -> %q -> %v", float64(v), v.String(), float64(got))
+		got := readBack(t, v.String(), flopsRateUnits)
+		if relErr(got, float64(v)) > tolTwoDecimals {
+			t.Fatalf("round trip %v -> %q -> %v", float64(v), v.String(), got)
 		}
 	}
 }
@@ -126,69 +153,18 @@ func TestStringMinInt64(t *testing.T) {
 	}
 }
 
-func TestParseExtremes(t *testing.T) {
-	// MinInt64 renders as exactly -2^63 bytes and parses back exactly.
-	got, err := ParseBytes(Bytes(math.MinInt64).String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != math.MinInt64 {
-		t.Errorf("MinInt64 round trip = %d", got)
-	}
-	// MaxInt64's rendering rounds up to 2^63; the parser clamps back.
-	got, err = ParseBytes(Bytes(math.MaxInt64).String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != math.MaxInt64 {
-		t.Errorf("MaxInt64 round trip = %d", got)
-	}
-	if _, err := ParseBytes("99999999999999.00 TiB"); err == nil {
-		t.Error("overflowing byte count must not parse")
-	}
-	if _, err := ParseFLOPs("99999999999.00 TFLOP"); err == nil {
-		t.Error("overflowing FLOP count must not parse")
-	}
-}
-
-func TestParseSpecials(t *testing.T) {
+// TestStringSpecials: zero and the non-finite times render to values
+// that read back exactly.
+func TestStringSpecials(t *testing.T) {
 	for _, v := range []Seconds{0, Seconds(math.Inf(1)), Seconds(math.Inf(-1))} {
-		got, err := ParseSeconds(v.String())
-		if err != nil {
-			t.Fatalf("ParseSeconds(%q): %v", v.String(), err)
-		}
-		if got != v {
-			t.Errorf("%q parsed to %v, want %v", v.String(), float64(got), float64(v))
+		if got := readBack(t, v.String(), secondsUnits); got != float64(v) {
+			t.Errorf("%q read back as %v, want %v", v.String(), got, float64(v))
 		}
 	}
-	nan, err := ParseSeconds(Seconds(math.NaN()).String())
-	if err != nil {
-		t.Fatalf("NaN seconds: %v", err)
+	if nan := readBack(t, Seconds(math.NaN()).String(), secondsUnits); !math.IsNaN(nan) {
+		t.Errorf("NaN seconds read back as %v", nan)
 	}
-	if !math.IsNaN(float64(nan)) {
-		t.Errorf("NaN round trip = %v", float64(nan))
-	}
-	if got, err := ParseBytes(Bytes(0).String()); err != nil || got != 0 {
-		t.Errorf("zero bytes round trip = %v, %v", got, err)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"", "12", "12 parsecs", "twelve GiB", "1 2 GiB", "1.0GiB",
-	}
-	for _, c := range cases {
-		if _, err := ParseBytes(c); err == nil {
-			t.Errorf("ParseBytes(%q) should fail", c)
-		}
-		if _, err := ParseSeconds(c); err == nil {
-			t.Errorf("ParseSeconds(%q) should fail", c)
-		}
-	}
-	if _, err := ParseBytesPerSec("16.0 GiB"); err == nil {
-		t.Error("bandwidth parser must reject byte units")
-	}
-	if _, err := ParseFLOPSRate("14.70 TFLOP"); err == nil {
-		t.Error("rate parser must reject work units")
+	if got := readBack(t, Bytes(0).String(), byteUnits); got != 0 {
+		t.Errorf("zero bytes read back as %v", got)
 	}
 }

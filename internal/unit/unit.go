@@ -1,5 +1,5 @@
 // Package unit provides typed quantities (bytes, FLOPs, bandwidth, time)
-// used throughout the KARMA performance model, together with parsing and
+// used throughout the KARMA performance model, together with
 // human-readable formatting helpers.
 //
 // All simulator time is carried as float64 seconds (type Seconds) rather
