@@ -179,25 +179,30 @@ func run(exp, modelName, backend, precision, topoName, traceOut string, ckpt, pi
 	}
 
 	if all || exp == "fig8" {
-		// The trace export always runs the planner (the export is the
-		// planner's schedule by definition); reuse ev when it already is
-		// the planned backend so its memos carry over.
-		var pe *dist.Planned
+		// -trace-out records the planned evaluation behind every cell:
+		// through ev itself under the planned backend, otherwise through
+		// one extra planned rendering of each panel.
+		fev, rec := ev, (*dist.Planned)(nil)
 		if traceOut != "" {
-			if p, ok := ev.(*dist.Planned); ok {
-				pe = p
+			if pe, ok := ev.(*dist.Planned); ok {
+				rec = pe.Recording()
+				fev = rec
 			} else {
-				pe = dist.NewPlanned()
+				rec = dist.NewPlanned().Recording()
 			}
 		}
-		for _, cfg := range []struct {
-			idx  int
-			gpus []int
-		}{
-			{2, []int{128, 256, 512, 1024, 2048}}, // 2.5B
-			{4, []int{512, 1024, 2048}},           // 8.3B
+		for _, render := range []func(dist.Evaluator) (*experiments.Fig8Panel, error){
+			func(ev dist.Evaluator) (*experiments.Fig8Panel, error) { // 2.5B
+				return experiments.Figure8Megatron(cl, 2, []int{128, 256, 512, 1024, 2048}, ev, fo)
+			},
+			func(ev dist.Evaluator) (*experiments.Fig8Panel, error) { // 8.3B
+				return experiments.Figure8Megatron(cl, 4, []int{512, 1024, 2048}, ev, fo)
+			},
+			func(ev dist.Evaluator) (*experiments.Fig8Panel, error) {
+				return experiments.Figure8Turing(cl, []int{512, 1024, 2048}, ev, fo)
+			},
 		} {
-			panel, err := experiments.Figure8Megatron(cl, cfg.idx, cfg.gpus, ev, fo)
+			panel, err := render(fev)
 			if err != nil {
 				return err
 			}
@@ -211,28 +216,16 @@ func run(exp, modelName, backend, precision, topoName, traceOut string, ckpt, pi
 				}
 				fmt.Println()
 			}
-			if pe != nil {
-				if err := writePanelTraces(traceOut, panel, cfg.idx, cl, pe, fo); err != nil {
+			if rec == nil {
+				continue
+			}
+			recorded := panel
+			if fev != rec {
+				if recorded, err = render(rec); err != nil {
 					return err
 				}
 			}
-		}
-		turing, err := experiments.Figure8Turing(cl, []int{512, 1024, 2048}, ev, fo)
-		if err != nil {
-			return err
-		}
-		if _, err := turing.Table().WriteTo(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		if explain {
-			if _, err := turing.ExplainTable().WriteTo(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if pe != nil {
-			if err := writePanelTraces(traceOut, turing, turingPanel, cl, pe, fo); err != nil {
+			if err := writePanelTraces(traceOut, panel, recorded, rec); err != nil {
 				return err
 			}
 		}

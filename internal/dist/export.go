@@ -2,8 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"sync"
 
-	"karma/internal/comm"
 	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/model"
@@ -14,11 +14,10 @@ import (
 
 // PlanExport is one configuration's full execution story: the compiled
 // plan IR, its simulated timeline, the activation budget the simulation
-// ran under, and the verdict the evaluator produced for the same
-// configuration. The serve layer renders Plan as JSON (plan.Encode) and
-// Timeline as a Chrome trace (trace.Collect/WriteChrome); everything
-// here is freshly allocated — never aliased to the evaluator's pooled
-// scratch — so it may outlive the call arbitrarily.
+// ran under, and the verdict costed from that very timeline. The serve
+// layer renders Plan as JSON (plan.Encode) and Timeline as a Chrome
+// trace (trace.Collect/WriteChrome); nothing here aliases the
+// evaluator's pooled scratch, so it may outlive the call arbitrarily.
 type PlanExport struct {
 	Plan     *plan.Plan
 	Compiled *plan.Compiled
@@ -27,118 +26,100 @@ type PlanExport struct {
 	Result   *Result
 }
 
-// exportable rejects configurations that have no plan to export,
-// rendering the evaluator's infeasibility reason.
-func exportable(r *Result) (*Result, error) {
-	if !r.Feasible {
-		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", r.Reason)
-	}
-	return r, nil
+// recordLog maps each result a recording evaluator returned to the plan
+// behind it, or to the simulation error that made it fall back to the
+// closed form.
+type recordLog struct {
+	mu  sync.Mutex
+	log map[*Result]recording
 }
 
-// ExportKARMA re-derives the planner-backed KARMA data-parallel plan for
-// one configuration and simulates it for export. Unlike the evaluator —
-// which delegates fully in-core configurations to the exact closed form
-// — the export always runs the partition search (an in-core profile
-// plans to all-resident blocks), so every feasible configuration yields
-// a concrete plan. The schedule and profile come from the evaluator's
-// caches and the lowering is plannedIter's own (replicaSchedule,
-// replicaPlan); the plan, compilation and timeline are fresh.
+type recording struct {
+	ex  *PlanExport
+	err error
+}
+
+// Recording returns an evaluator that shares pe's caches and observer
+// and additionally records, for every result it returns, the plan,
+// compilation, timeline and budget that result was costed on (see
+// Recorded). A fully in-core KARMA configuration still returns the exact
+// closed form; the recorded plan is the all-resident schedule the
+// partition search derives for it. Safe for concurrent use.
+func (pe *Planned) Recording() *Planned {
+	rec := *pe
+	rec.rec = &recordLog{log: map[*Result]recording{}}
+	return &rec
+}
+
+// capture packages what one iteration simulated when pe is recording,
+// and is nil otherwise.
+func (pe *Planned) capture(pl *plan.Plan, c *plan.Compiled, tl *sim.Timeline, budget unit.Bytes) *PlanExport {
+	if pe.rec == nil {
+		return nil
+	}
+	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: budget}
+}
+
+// record logs the plan behind res (ex), or the simulation error that
+// made res fall back (err), when pe is recording.
+func (pe *Planned) record(res *Result, ex *PlanExport, err error) {
+	if pe.rec == nil {
+		return
+	}
+	if ex != nil {
+		ex.Result = res
+	}
+	pe.rec.mu.Lock()
+	pe.rec.log[res] = recording{ex: ex, err: err}
+	pe.rec.mu.Unlock()
+}
+
+// Recorded returns the plan a recording evaluator costed res on. It
+// takes an evaluator call's return values directly, passing an
+// evaluation error through. An infeasible result has no plan; a result
+// that fell back to the closed form reports the simulation error that
+// caused the fallback.
+func (pe *Planned) Recorded(res *Result, err error) (*PlanExport, error) {
+	if err != nil {
+		return nil, err
+	}
+	if !res.Feasible {
+		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", res.Reason)
+	}
+	var r recording
+	ok := false
+	if pe.rec != nil {
+		pe.rec.mu.Lock()
+		r, ok = pe.rec.log[res]
+		pe.rec.mu.Unlock()
+	}
+	if !ok {
+		return nil, fmt.Errorf("dist: no plan recorded for this %s result", res.Backend)
+	}
+	return r.ex, r.err
+}
+
+// ExportKARMA evaluates one KARMA data-parallel configuration and
+// returns the plan it was costed on.
 func (pe *Planned) ExportKARMA(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*PlanExport, error) {
-	res, err := pe.KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if res, err = exportable(res); err != nil {
-		return nil, err
-	}
-	p, err := pe.profile(g, cl.Node, perReplicaBatch, o.Precision.DType())
-	if err != nil {
-		return nil, err
-	}
-	gs := 1.0
-	if o.ZeROShard {
-		gs = 1 / float64(gpus)
-	}
-	s, err := pe.replicaSchedule(p, gs)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := replicaPlan(s, cl, gpus, o)
-	if err != nil {
-		return nil, err
-	}
-	c, tl, err := pl.Simulate(s.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: s.Budget, Result: res}, nil
+	rec := pe.Recording()
+	return rec.Recorded(rec.KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o))
 }
 
-// ExportHybrid re-derives the per-layer simulated MP+DP (or, with zero,
-// ZeRO) shard plan for one configuration. The stage arenas are fresh —
-// the evaluator's pooled scratch must never leak into a value that
-// outlives the call.
+// ExportHybrid evaluates one MP+DP (or, with zero, ZeRO) configuration
+// and returns the shard plan it was costed on.
 func (pe *Planned) ExportHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*PlanExport, error) {
-	eval := pe.MegatronHybrid
+	rec := pe.Recording()
 	if zero {
-		eval = pe.ZeRO
-		o.Phased = true // ZeRO's exchange is phased by construction
+		return rec.Recorded(rec.ZeRO(cfg, cl, mp, gpus, perReplicaBatch, samples, o))
 	}
-	res, err := eval(cfg, cl, mp, gpus, perReplicaBatch, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if res, err = exportable(res); err != nil {
-		return nil, err
-	}
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
-	if err != nil {
-		return nil, err
-	}
-	if bad != nil {
-		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", bad.Reason)
-	}
-	var ex, mpArena stageArena
-	pl, err := buildHybridPlan(cfg, shard, p, s, cl, mp, gpus/mp, zero, o, &ex, &mpArena)
-	if err != nil {
-		return nil, err
-	}
-	c, tl, err := pl.Simulate(s.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: s.Budget, Result: res}, nil
+	return rec.Recorded(rec.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, o))
 }
 
-// ExportPipeline re-derives the simulated bottleneck-stage plan of one
-// pipeline configuration (the other stages contribute closed-form terms
-// only and have no per-op schedule to export).
+// ExportPipeline evaluates one pipeline configuration and returns the
+// simulated bottleneck-stage plan it was costed on (the other stages
+// contribute closed-form terms only and have no per-op schedule).
 func (pe *Planned) ExportPipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*PlanExport, error) {
-	res, err := pe.Pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if res, err = exportable(res); err != nil {
-		return nil, err
-	}
-	sts, _, bad, err := pipelineSetup(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if bad != nil {
-		return nil, fmt.Errorf("dist: no plan for an infeasible configuration: %s", bad.Reason)
-	}
-	replicas := gpus / stages
-	backend := comm.Pick(stages * replicas)
-	wire, local := pipeWire(cl, stages, backend)
-	sb, _ := bottleneckStage(sts, wire)
-	st := sts[sb]
-	pl := buildStagePlan(st, micro, wire, local, sb, len(sts))
-	budget := pipelineBudget(st, cl, o)
-	c, tl, err := pl.Simulate(budget)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: budget, Result: res}, nil
+	rec := pe.Recording()
+	return rec.Recorded(rec.Pipeline(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o))
 }

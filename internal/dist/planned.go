@@ -57,7 +57,8 @@ import (
 // or the simulator cannot cost a configuration the shared precheck deems
 // feasible, Planned falls back to the analytic cost (the result keeps
 // its "analytic" tag in Result.Backend) rather than diverging on the
-// feasibility verdict.
+// feasibility verdict. Recording returns a variant that also keeps the
+// plan and timeline behind every result it returns (the export path).
 type Planned struct {
 	profiles  *memo.Cache[profileKey, *profiler.Profile]
 	schedules *memo.Cache[schedKey, planOutcome]
@@ -71,6 +72,10 @@ type Planned struct {
 	// tagging contract (Backend stays "analytic", Ckpt still recorded)
 	// can be regression-tested; nothing outside the tests sets it.
 	failSim bool
+
+	// rec, when set, logs the plan behind every result (see Recording).
+	// nil on the hot path: iterations capture nothing.
+	rec *recordLog
 }
 
 // Observe registers a callback receiving the wall-clock seconds spent in
@@ -191,9 +196,15 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 		if err != nil {
 			return nil, err
 		}
+		if pe.rec != nil {
+			// The recorded plan is the all-resident schedule the search
+			// derives for the in-core profile.
+			_, _, ex, serr := pe.plannedIter(p, cl, gpus, o, gs)
+			pe.record(r, ex, serr)
+		}
 		return stamp(r), nil
 	}
-	iter, bd, err := pe.plannedIter(p, cl, gpus, o, gs)
+	iter, bd, ex, err := pe.plannedIter(p, cl, gpus, o, gs)
 	if err != nil {
 		// The search found no simulable schedule for a configuration the
 		// shared precheck deems feasible: keep the feasibility verdict
@@ -201,11 +212,13 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 		r, ferr := KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
 		if r != nil {
 			r.Backend = "analytic"
+			pe.record(r, nil, err)
 		}
 		return r, ferr
 	}
 	r := finalize(iter, gpus, global, samples)
 	r.Breakdown = bd
+	pe.record(r, ex, nil)
 	return stamp(r), nil
 }
 
@@ -214,21 +227,22 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 // from the simulated timeline (timelineBreakdown) with the update cost
 // — which the simulation does not schedule — added to both the
 // iteration and its Update component, so the attribution still sums to
-// the iteration time.
-func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions, gs float64) (unit.Seconds, *Breakdown, error) {
+// the iteration time. A recording evaluator also gets the simulated
+// plan back.
+func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions, gs float64) (unit.Seconds, *Breakdown, *PlanExport, error) {
 	if pe.failSim {
-		return 0, nil, errForcedFallback
+		return 0, nil, nil, errForcedFallback
 	}
 	var s *karma.Schedule
 	var err error
 	pe.timed("search", func() { s, err = pe.replicaSchedule(p, gs) })
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	var pl *plan.Plan
 	pe.timed("plan_build", func() { pl, err = replicaPlan(s, cl, gpus, o) })
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	var c *plan.Compiled
 	var tl *sim.Timeline
@@ -236,12 +250,12 @@ func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o K
 		c, tl, err = pl.Simulate(s.Budget)
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	upd := updateCost(s, cl, o, gs)
 	b := timelineBreakdown(c, tl)
 	b.Update += upd
-	return tl.Makespan + upd, b, nil
+	return tl.Makespan + upd, b, pe.capture(pl, c, tl, s.Budget), nil
 }
 
 // replicaSchedule runs the KARMA replica's partition search at gradient

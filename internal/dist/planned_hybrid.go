@@ -45,24 +45,24 @@ func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, 
 		res.Ckpt = o.Checkpoint
 		return res
 	}
-	iter, bd, err := pe.hybridIter(cfg, shard, p, s, cl, mp, replicas, zero, o)
+	iter, bd, ex, err := pe.hybridIter(cfg, shard, p, s, cl, mp, replicas, zero, o)
 	if err != nil {
 		c := megatronCost(cfg, shard, p, s, cl, mp, replicas, zero, o)
 		res := r(c.iter()) // Backend stays "analytic": explicit fallback
 		res.Breakdown = c.breakdown()
+		pe.record(res, nil, err)
 		return res, nil
 	}
 	res := r(iter)
 	res.Backend = pe.Name()
 	res.Breakdown = bd
+	pe.record(res, ex, nil)
 	return res, nil
 }
 
 // buildHybridPlan lowers the shard schedule to the plan IR and injects
-// the MP collectives, the data-parallel exchange and the closing update
-// — the shared front half of hybridIter and the export API. The arenas
-// back the injectors' rebuilt stage lists (pooled in the evaluator's hot
-// path, fresh for exports that outlive the call).
+// the MP collectives, the data-parallel exchange and the closing update.
+// The arenas back the injectors' rebuilt stage lists.
 func buildHybridPlan(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions, ex, mpArena *stageArena) (*plan.Plan, error) {
 	pl, err := karma.BuildPlan(s)
 	if err != nil {
@@ -82,20 +82,26 @@ func buildHybridPlan(cfg model.TransformerConfig, shard *model.Shard, p *profile
 // and the MP collectives, and simulates one iteration. The breakdown
 // derives from the simulated timeline; the update is a scheduled op
 // here, so no supplement is needed and the components sum to the
-// makespan by construction.
-func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) (unit.Seconds, *Breakdown, error) {
+// makespan by construction. A recording evaluator also gets the
+// simulated plan back.
+func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) (unit.Seconds, *Breakdown, *PlanExport, error) {
 	if pe.failSim {
-		return 0, nil, errForcedFallback
+		return 0, nil, nil, errForcedFallback
 	}
-	sc := hybridScratchPool.Get().(*hybridScratch)
-	defer hybridScratchPool.Put(sc)
+	var sc *hybridScratch
+	if pe.rec != nil {
+		sc = new(hybridScratch) // a recorded plan outlives the call
+	} else {
+		sc = hybridScratchPool.Get().(*hybridScratch)
+		defer hybridScratchPool.Put(sc)
+	}
 	var pl *plan.Plan
 	var err error
 	pe.timed("plan_build", func() {
 		pl, err = buildHybridPlan(cfg, shard, p, s, cl, mp, replicas, zero, o, &sc.ex, &sc.mp)
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	// Compile and run on the scratch's long-lived compiler and simulator
 	// (exactly what pl.Simulate does on fresh ones, error strings
@@ -113,9 +119,9 @@ func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p
 		}
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return tl.Makespan, timelineBreakdown(c, tl), nil
+	return tl.Makespan, timelineBreakdown(c, tl), pe.capture(pl, c, tl, s.Budget), nil
 }
 
 // hybridScratch is the reusable evaluation state of one planned-hybrid

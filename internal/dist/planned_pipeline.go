@@ -41,16 +41,18 @@ func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, 
 		res.Ckpt = o.Checkpoint
 		return res
 	}
-	iter, bd, err := pe.pipeIter(sts, cl, stages, replicas, micro, o)
+	iter, bd, ex, err := pe.pipeIter(sts, cl, stages, replicas, micro, o)
 	if err != nil {
 		c := pipelineCost(sts, cl, stages, replicas, micro, o)
 		res := r(c.iter()) // Backend stays "analytic": explicit fallback
 		res.Breakdown = c.breakdown()
+		pe.record(res, nil, err)
 		return res, nil
 	}
 	res := r(iter)
 	res.Backend = pe.Name()
 	res.Breakdown = bd
+	pe.record(res, ex, nil)
 	return res, nil
 }
 
@@ -60,10 +62,11 @@ func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, 
 // supplement lands on the components it represents (other stages'
 // traversal and wires are pipeline bubble from the bottleneck's seat,
 // the exchange stall and update on their own components), so the
-// attribution still sums to the iteration time.
-func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o HybridOptions) (unit.Seconds, *Breakdown, error) {
+// attribution still sums to the iteration time. A recording evaluator
+// also gets the simulated plan back.
+func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o HybridOptions) (unit.Seconds, *Breakdown, *PlanExport, error) {
 	if pe.failSim {
-		return 0, nil, errForcedFallback
+		return 0, nil, nil, errForcedFallback
 	}
 	backend := comm.Pick(stages * replicas)
 	wire, local := pipeWire(cl, stages, backend)
@@ -77,11 +80,12 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 	var cp *plan.Compiled
 	var tl *sim.Timeline
 	var err error
+	budget := pipelineBudget(st, cl, o)
 	pe.timed("simulate", func() {
-		cp, tl, err = pl.Simulate(pipelineBudget(st, cl, o))
+		cp, tl, err = pl.Simulate(budget)
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 
 	// Closed-form supplement: the traversal through every other stage and
@@ -107,7 +111,7 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 	b.Bubble += bubble
 	b.ExchangeStall += c.exchangeStall
 	b.Update += c.update
-	return iter, b.withOccupancy(iter), nil
+	return iter, b.withOccupancy(iter), pe.capture(pl, cp, tl, budget), nil
 }
 
 // buildStagePlan lowers one stage's GPipe micro-batch loop to the plan

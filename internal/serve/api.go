@@ -108,6 +108,20 @@ type EvaluateRequest struct {
 	UpdateOnDevice bool `json:"update_on_device,omitempty"`
 }
 
+// checkBackend defaults an empty backend to "analytic" and rejects
+// names outside dist.BackendNames.
+func checkBackend(b *string) error {
+	if *b == "" {
+		*b = "analytic"
+	}
+	for _, name := range dist.BackendNames() {
+		if *b == name {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown backend %q (have %s)", *b, strings.Join(dist.BackendNames(), ", "))
+}
+
 // evaluateFamilies lists the accepted Family values.
 var evaluateFamilies = []string{"karma-dp", "dp", "mp+dp", "zero", "pipeline"}
 
@@ -122,17 +136,8 @@ func (r *EvaluateRequest) normalize() error {
 	if !families[r.Family] {
 		return fmt.Errorf("unknown family %q (have %s)", r.Family, strings.Join(evaluateFamilies, ", "))
 	}
-	if r.Backend == "" {
-		r.Backend = "analytic"
-	}
-	valid := false
-	for _, b := range dist.BackendNames() {
-		if r.Backend == b {
-			valid = true
-		}
-	}
-	if !valid {
-		return fmt.Errorf("unknown backend %q (have %s)", r.Backend, strings.Join(dist.BackendNames(), ", "))
+	if err := checkBackend(&r.Backend); err != nil {
+		return err
 	}
 	if (r.Model == "") == (r.Transformer == nil) {
 		return fmt.Errorf("exactly one of model and transformer must be set")
@@ -310,10 +315,7 @@ func (r *SweepRequest) normalize() error {
 	if !panels[r.Panel] {
 		return fmt.Errorf("unknown panel %q (have %s)", r.Panel, strings.Join(sweepPanels, ", "))
 	}
-	if r.Backend == "" {
-		r.Backend = "analytic"
-	}
-	if _, err := dist.ByName(r.Backend); err != nil {
+	if err := checkBackend(&r.Backend); err != nil {
 		return err
 	}
 	if r.Precision == "" {

@@ -11,17 +11,18 @@ import (
 	"strconv"
 
 	"karma/internal/dist"
-	"karma/internal/tensor"
 	"karma/internal/trace"
 )
 
 // The /v1/plan and /v1/trace endpoints export one configuration's full
-// execution story: the compiled plan IR and its simulated timeline.
-// They accept the /v1/evaluate JSON body via POST, or the same fields
-// as flat query parameters via GET (the explicit transformer config is
+// execution story: the compiled plan IR and the simulated timeline the
+// verdict was costed on, recorded during the evaluation itself. They
+// accept the /v1/evaluate JSON body via POST, or the same fields as flat
+// query parameters via GET (the explicit transformer config is
 // POST-only; GET selects models by name). Either way the planned
 // backend runs — the export is the planner's schedule by definition, so
-// a requested backend is overridden before the cache key is derived.
+// a requested (valid) backend is overridden before the cache key is
+// derived.
 
 // exportQueryFields lists the accepted GET query parameters, mirroring
 // EvaluateRequest's JSON tags.
@@ -113,9 +114,13 @@ func (s *Server) exportRequest(w http.ResponseWriter, r *http.Request, endpoint 
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET with query parameters or POST with a JSON body")
 		return nil, "", false
 	}
-	// The export is the planner's schedule by definition; overriding the
-	// backend before keying lets explicit-planned and defaulted requests
-	// share one cache entry.
+	// The export is the planner's schedule by definition; overriding a
+	// valid backend before keying lets explicit-planned and defaulted
+	// requests share one cache entry.
+	if err := checkBackend(&req.Backend); err != nil {
+		writeError(w, r, http.StatusBadRequest, "%v", err)
+		return nil, "", false
+	}
 	req.Backend = "planned"
 	if err := req.normalize(); err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -134,42 +139,11 @@ func (s *Server) exportRequest(w http.ResponseWriter, r *http.Request, endpoint 
 	return req, key, true
 }
 
-// export dispatches a normalized request to the planned evaluator's
-// export API.
+// export evaluates a normalized request through a recording planned
+// evaluator and returns the plan its verdict was costed on.
 func (s *Server) export(req *EvaluateRequest) (*dist.PlanExport, error) {
-	pe, ok := s.evals["planned"].(*dist.Planned)
-	if !ok {
-		return nil, fmt.Errorf("planned backend unavailable")
-	}
-	cl, err := req.Cluster.cluster()
-	if err != nil {
-		return nil, err
-	}
-	prec, err := tensor.ParsePrecision(req.Precision)
-	if err != nil {
-		return nil, err
-	}
-	ho := dist.HybridOptions{Phased: req.Phased, Checkpoint: req.Ckpt, Precision: prec}
-	switch req.Family {
-	case "karma-dp":
-		g, err := req.graphFor(s.graphs)
-		if err != nil {
-			return nil, err
-		}
-		return pe.ExportKARMA(g, cl, req.GPUs, req.Batch, req.Samples, dist.KARMAOptions{
-			UpdateOnDevice: req.UpdateOnDevice,
-			ZeROShard:      req.ZeROShard,
-			Precision:      prec,
-		})
-	case "mp+dp":
-		return pe.ExportHybrid(*req.Transformer, cl, req.MP, req.GPUs, req.Batch, req.Samples, false, ho)
-	case "zero":
-		return pe.ExportHybrid(*req.Transformer, cl, req.MP, req.GPUs, req.Batch, req.Samples, true, ho)
-	case "pipeline":
-		return pe.ExportPipeline(*req.Transformer, cl, req.Stages, req.GPUs, req.Batch, req.Micro, req.Samples, ho)
-	default:
-		return nil, fmt.Errorf("family %q has no plan to export", req.Family)
-	}
+	rec := s.planned.Recording()
+	return rec.Recorded(req.evaluate(rec, s.graphs))
 }
 
 // PlanResponse is the /v1/plan body: the compiled plan in its canonical

@@ -433,6 +433,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownBackend: every endpoint that takes a backend rejects an
+// unknown one with 400 and one error text — the export endpoints too,
+// although they run the planned backend whatever valid one is named.
+func TestUnknownBackend(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const want = `unknown backend "nope" (have analytic, planned)`
+	for path, body := range map[string]string{
+		"/v1/evaluate": `{"family":"karma-dp","model":"megatron-0.3B","gpus":128,"batch":128,"backend":"nope"}`,
+		"/v1/sweep":    `{"panel":"fig8-turing","backend":"nope"}`,
+		"/v1/plan":     `{"family":"karma-dp","model":"megatron-0.3B","gpus":128,"batch":128,"backend":"nope"}`,
+		"/v1/trace":    `{"family":"karma-dp","model":"megatron-0.3B","gpus":128,"batch":128,"backend":"nope"}`,
+	} {
+		code, out := post(t, s, path, body)
+		var e apiError
+		if err := json.Unmarshal(out, &e); err != nil {
+			t.Fatalf("%s: error body is not JSON: %q", path, out)
+		}
+		if code != http.StatusBadRequest || e.Error != want {
+			t.Errorf("%s = %d %q, want 400 %q", path, code, e.Error, want)
+		}
+	}
+	if st := s.cache.Stats(); st.Entries != 0 {
+		t.Errorf("rejected requests must not populate the response cache, got %+v", st)
+	}
+}
+
 // TestRequestTimeout pins the deadline path: a request whose evaluation
 // outlives RequestTimeout gets 504, the computation finishes anyway,
 // and a retry is served from cache.

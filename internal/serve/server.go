@@ -14,8 +14,8 @@
 //
 // /v1/plan and /v1/trace accept the /v1/evaluate JSON body via POST, or
 // the same fields as query parameters via GET (curl-friendly); both run
-// the planned backend regardless of the requested one — the export is
-// the planner's schedule by definition.
+// the planned backend regardless of the requested one and answer with
+// the recorded plan the verdict was costed on.
 //
 // Every request carries an ID: the inbound X-Request-ID when the client
 // set one, a generated hex token otherwise. It is echoed in the
@@ -89,6 +89,7 @@ type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	evals   map[string]dist.Evaluator
+	planned *dist.Planned               // evals["planned"]; exports record through it
 	cache   *memo.Cache[string, []byte] // response bodies by canonical request key
 	graphs  *memo.Cache[string, *graph.Graph]
 	metrics *metrics
@@ -116,6 +117,7 @@ func New(cfg Config) *Server {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	planned := dist.NewPlanned()
 	s := &Server{
 		cfg: cfg,
 		log: log,
@@ -125,8 +127,9 @@ func New(cfg Config) *Server {
 		// lifetime is safe.
 		evals: map[string]dist.Evaluator{
 			"analytic": dist.Analytic{},
-			"planned":  dist.NewPlanned(),
+			"planned":  planned,
 		},
+		planned: planned,
 		cache:   memo.New[string, []byte](cfg.CacheEntries),
 		graphs:  memo.New[string, *graph.Graph](64),
 		metrics: newMetrics(),
@@ -136,9 +139,7 @@ func New(cfg Config) *Server {
 	// Feed the planner's phase timings (search / plan_build / simulate)
 	// into the /stats series. The hook only costs clock reads when
 	// registered, which a serving process always wants.
-	if pe, ok := s.evals["planned"].(*dist.Planned); ok {
-		pe.Observe(s.metrics.evalPhase)
-	}
+	planned.Observe(s.metrics.evalPhase)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/evaluate", s.instrument("/v1/evaluate", s.handleEvaluate))
 	mux.HandleFunc("/v1/feasibility", s.instrument("/v1/feasibility", s.handleFeasibility))
@@ -442,14 +443,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
-	planned, _ := s.evals["planned"].(*dist.Planned)
 	caches := []cacheStats{
 		{name: "response", s: s.cache.Stats()},
 		{name: "graphs", s: s.graphs.Stats()},
 		{name: "evaluator_shared", s: dist.SharedCacheStats()},
-	}
-	if planned != nil {
-		caches = append(caches, cacheStats{name: "evaluator_planned", s: planned.CacheStats()})
+		{name: "evaluator_planned", s: s.planned.CacheStats()},
 	}
 	s.metrics.render(&sb, s.build, caches)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
