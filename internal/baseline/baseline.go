@@ -15,7 +15,6 @@ import (
 	"karma/internal/layer"
 	"karma/internal/plan"
 	"karma/internal/profiler"
-	"karma/internal/sim"
 	"karma/internal/solve"
 	"karma/internal/unit"
 )
@@ -375,13 +374,11 @@ func runRecompute(p *profiler.Profile, m Method) (*Result, error) {
 		}
 		return r, nil
 	}
-	// Checkmate sweeps the segment count. Candidates are costed on a lean
-	// makespan-only path — one partitioner, builder, compiler, and
-	// simulator shared across all k, so the steady-state sweep allocates
-	// next to nothing — and only the winning k is rebuilt through the full
-	// reporting path. The lean plan is op-for-op the plan
-	// recomputeWithSegments builds, so the winner (first strict minimum in
-	// ascending k, matching the old sweep order) is unchanged.
+	// Checkmate sweeps the segment count. Every candidate is a serial chain
+	// on the compute stream, so it is costed by an exact scan of that chain
+	// (checkmateSweep.iterTime) instead of being built, compiled and
+	// simulated; only the winning k goes through the full reporting path.
+	// The winner is the first strict minimum in ascending k.
 	sw, err := newCheckmateSweep(p, budget)
 	if err != nil {
 		return infeasible(m, err.Error()), nil
@@ -403,16 +400,13 @@ func runRecompute(p *profiler.Profile, m Method) (*Result, error) {
 	return recomputeWithSegments(p, m, bestK, budget)
 }
 
-// checkmateSweep is the reusable candidate-evaluation state of the
-// Checkmate segment-count sweep.
+// checkmateSweep is the reusable candidate-costing state of the
+// Checkmate segment-count sweep: one partitioner and its cut scratch.
 type checkmateSweep struct {
 	p      *profiler.Profile
 	budget unit.Bytes
 	pt     *solve.Partitioner
 	cuts   []int
-	bld    plan.Builder
-	comp   plan.Compiler
-	run    sim.Runner
 }
 
 func newCheckmateSweep(p *profiler.Profile, budget unit.Bytes) (*checkmateSweep, error) {
@@ -427,10 +421,39 @@ func newCheckmateSweep(p *profiler.Profile, budget unit.Bytes) (*checkmateSweep,
 	return &checkmateSweep{p: p, budget: budget, pt: pt}, nil
 }
 
-// iterTime costs one k-segment candidate: it builds the same plan as
-// recomputeWithSegments (identical ops in identical order, so the
-// simulated makespan is bit-identical) and reports the iteration time,
-// or ok=false where the full path would report an infeasible result.
+// chainScan replays a serial chain of ops — each starting when its
+// predecessor ends, as every op of a k-segment plan does on the compute
+// stream — the way the simulator plays it: an op must fit the live bytes
+// at its start (nothing else is pending that could free memory, so a
+// misfit is the simulator's deadlock), its end is the previous end plus
+// its duration, and its free at the end must not drive the live bytes
+// below zero.
+type chainScan struct {
+	avail, live unit.Bytes
+	t           unit.Seconds
+	ok          bool
+}
+
+func (c *chainScan) op(d unit.Seconds, alloc, free unit.Bytes) {
+	if !c.ok {
+		return
+	}
+	if d < 0 || alloc < 0 || free < 0 || c.live+alloc > c.avail {
+		c.ok = false
+		return
+	}
+	c.live += alloc
+	c.t += d
+	c.live -= free
+	if c.live < 0 {
+		c.ok = false
+	}
+}
+
+// iterTime costs one k-segment candidate with a chain scan over exactly
+// the ops recomputeWithSegments emits, in the same order, so the time is
+// bit-identical to the simulated makespan. It reports ok=false where the
+// full path would report an infeasible result.
 func (sw *checkmateSweep) iterTime(k int) (unit.Seconds, bool) {
 	p := sw.p
 	n := len(p.Blocks)
@@ -443,11 +466,10 @@ func (sw *checkmateSweep) iterTime(k int) (unit.Seconds, bool) {
 	for _, c := range cuts {
 		ckpt += p.Blocks[c-1].OutBytes
 	}
-	avail := sw.budget - ckpt
-	if avail <= 0 {
+	sc := chainScan{avail: sw.budget - ckpt, ok: true}
+	if sc.avail <= 0 {
 		return 0, false
 	}
-	sw.bld.Reset(string(Checkmate), n)
 	// Forward: segment acts live until the next segment's first forward.
 	var prevAct unit.Bytes
 	start := 0
@@ -458,11 +480,11 @@ func (sw *checkmateSweep) iterTime(k int) (unit.Seconds, bool) {
 		}
 		var act unit.Bytes
 		for b := start; b < end; b++ {
-			op := plan.Op{Kind: plan.Fwd, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes}
+			var free unit.Bytes
 			if b == start && ci > 0 {
-				op.Free = prevAct
+				free = prevAct
 			}
-			sw.bld.Stage(op)
+			sc.op(p.Blocks[b].FwdTime, p.Blocks[b].ActBytes, free)
 			act += p.Blocks[b].ActBytes
 		}
 		prevAct = act
@@ -478,30 +500,18 @@ func (sw *checkmateSweep) iterTime(k int) (unit.Seconds, bool) {
 		e0 := n
 		if si < len(cuts) {
 			e0 = cuts[si]
-		}
-		if si < len(cuts) {
 			for b := s0; b < e0; b++ {
-				sw.bld.Stage(plan.Op{
-					Kind: plan.Recompute, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes,
-				})
+				sc.op(p.Blocks[b].FwdTime, p.Blocks[b].ActBytes, 0)
 			}
 		}
 		for b := e0 - 1; b >= s0; b-- {
-			sw.bld.Stage(plan.Op{
-				Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes,
-			})
+			sc.op(p.Blocks[b].BwdTime, 0, p.Blocks[b].ActBytes)
 		}
 	}
-	c, err := sw.comp.Compile(sw.bld.Plan())
-	if err != nil {
+	if !sc.ok {
 		return 0, false
 	}
-	//karma:plan-ok ops come from Compile on a Builder-made plan; reusing one Runner avoids Simulate's per-call allocations
-	tl, err := sw.run.Run(c.Ops, avail)
-	if err != nil {
-		return 0, false
-	}
-	return tl.Makespan, true
+	return sc.t, true
 }
 
 // recomputeWithSegments builds and simulates a k-segment checkpointing

@@ -8,7 +8,7 @@ import (
 	"karma/internal/profiler"
 )
 
-func prof(t *testing.T, name string, batch int) *profiler.Profile {
+func prof(t testing.TB, name string, batch int) *profiler.Profile {
 	t.Helper()
 	g, err := model.Build(name)
 	if err != nil {

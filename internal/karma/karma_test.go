@@ -9,7 +9,7 @@ import (
 	"karma/internal/unit"
 )
 
-func profileFor(t *testing.T, name string, batch int) *profiler.Profile {
+func profileFor(t testing.TB, name string, batch int) *profiler.Profile {
 	t.Helper()
 	g, err := model.Build(name)
 	if err != nil {

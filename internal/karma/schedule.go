@@ -43,7 +43,8 @@ func buildPlan(bld *plan.Builder, name string, s *Schedule) (*plan.Plan, error) 
 	if k == 0 {
 		return nil, fmt.Errorf("karma: empty schedule")
 	}
-	for i, b := range s.Blocks {
+	for i := range s.Blocks {
+		b := &s.Blocks[i]
 		if b.Policy == Recompute && i == k-1 {
 			return nil, fmt.Errorf("karma: last block cannot be recomputed (it is resident by construction)")
 		}

@@ -1,10 +1,11 @@
 package karma
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"karma/internal/hw"
 	"karma/internal/occupancy"
@@ -106,6 +107,9 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 			bound = t
 		}
 		if s2, t2, err2 := sr.bestPolicy(cuts, bound); err2 == nil && (err != nil || t2 < t) {
+			if s != nil {
+				sr.recycle(s)
+			}
 			s, t, err = s2, t2, err2
 		}
 	}
@@ -122,10 +126,11 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 
 // searcher carries the reusable state of one Plan invocation: merged
 // block costs and partition objective values memoized across candidates,
-// scratch buffers for the analytic estimate, and the plan
-// builder/compiler/simulator whose arenas every simulated candidate
-// shares. Zero steady-state allocation is the point: the Opt-1/Opt-2
-// search replays these paths thousands of times per plan.
+// scratch buffers for the analytic estimate, the candidate schedules
+// losing candidates hand back, and the plan builder/compiler/simulator
+// whose arenas every simulated candidate shares. Zero steady-state
+// allocation is the point: the Opt-1/Opt-2 search replays these paths
+// thousands of times per plan.
 type searcher struct {
 	p      *profiler.Profile
 	opts   Options
@@ -134,12 +139,15 @@ type searcher struct {
 	lat    unit.Seconds
 	name   string // plan name of every candidate build
 
-	merged   map[[2]int]profiler.Block // MergeCosts per block range
-	evalMemo map[string]float64        // estimate per encoded cut set
-	evalKey  []byte
+	merged map[[2]int]*profiler.Block // MergeCosts per block range
+	// mergeArena backs the merged blocks. A full chunk is replaced, never
+	// regrown, so the pointers handed out stay put.
+	mergeArena []profiler.Block
+	evalMemo   map[string]float64 // estimate per encoded cut set
+	evalKey    []byte
 
 	// estimate scratch
-	eblocks  []profiler.Block
+	eblocks  []*profiler.Block
 	payloads []unit.Bytes
 	wbytes   []unit.Bytes
 	seq      []occupancy.Block
@@ -149,6 +157,11 @@ type searcher struct {
 	// its payload view across scheduleFromCuts calls)
 	bpay []unit.Bytes
 	spay []unit.Bytes
+	// markRecompute scratch
+	rcands []recomputeCand
+	// free holds candidate schedules no longer referenced; scheduleFromCuts
+	// reuses them and their Blocks.
+	free []*Schedule
 
 	builder  plan.Builder
 	compiler plan.Compiler
@@ -163,19 +176,24 @@ func newSearcher(p *profiler.Profile, budget unit.Bytes, opts Options) *searcher
 		bw:       hw.SwapThroughput(p.Node),
 		lat:      p.Node.Link.Latency,
 		name:     "karma/" + p.Graph.Name(),
-		merged:   map[[2]int]profiler.Block{},
+		merged:   map[[2]int]*profiler.Block{},
 		evalMemo: map[string]float64{},
 	}
 }
 
 // mergeCosts returns the numeric merge of blocks [i, j), cached — the
 // same ranges recur across every candidate cut set sharing a boundary.
-func (sr *searcher) mergeCosts(i, j int) profiler.Block {
+// The block is shared: callers must not modify it.
+func (sr *searcher) mergeCosts(i, j int) *profiler.Block {
 	key := [2]int{i, j}
 	if b, ok := sr.merged[key]; ok {
 		return b
 	}
-	b := sr.p.MergeCosts(i, j)
+	if len(sr.mergeArena) == cap(sr.mergeArena) {
+		sr.mergeArena = make([]profiler.Block, 0, 2*cap(sr.mergeArena)+32)
+	}
+	sr.mergeArena = append(sr.mergeArena, sr.p.MergeCosts(i, j))
+	b := &sr.mergeArena[len(sr.mergeArena)-1]
 	sr.merged[key] = b
 	return b
 }
@@ -347,11 +365,12 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 	base := sr.scheduleFromCuts(cuts)
 	k := len(base.Blocks)
 	payloads := sr.bpay[:0]
-	for _, b := range base.Blocks {
-		payloads = append(payloads, b.Payload())
+	for i := range base.Blocks {
+		payloads = append(payloads, base.Blocks[i].Payload())
 	}
 	sr.bpay = payloads
 	maxResident := base.Resident
+	sr.recycle(base)
 
 	var best *Schedule
 	bestTime := bound
@@ -362,6 +381,7 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 		// (1-1e-9) factor absorbs the different floating-point summation
 		// order between the bound and the simulator's busy accounting.
 		if lb := sr.lowerBound(cand); lb*(1-1e-9) >= float64(bestTime) {
+			sr.recycle(cand)
 			return
 		}
 		t, err := sr.iterTime(cand)
@@ -369,11 +389,17 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 			if firstErr == nil {
 				firstErr = err
 			}
+			sr.recycle(cand)
 			return
 		}
 		if t < bestTime {
+			if best != nil {
+				sr.recycle(best)
+			}
 			bestTime, best = t, cand
+			return
 		}
+		sr.recycle(cand)
 	}
 	for r := maxResident; r <= k; r++ {
 		var tail unit.Bytes
@@ -395,7 +421,7 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 			}
 		}
 		if !sr.opts.DisableRecompute {
-			markRecompute(cand, sr.budget-tail, sr.bw, sr.lat)
+			sr.markRecompute(cand, sr.budget-tail)
 		}
 		try(cand)
 
@@ -408,6 +434,8 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 			ck.Resident = r
 			if checkpointPrefix(ck, r, sr.budget-tail) {
 				try(ck)
+			} else {
+				sr.recycle(ck)
 			}
 		}
 	}
@@ -424,10 +452,17 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 // numeric merges: merged blocks, resident suffix, and Swap policy for
 // the non-resident prefix. Under StreamWeights every block carries its
 // weight and (scaled) gradient payload, including resident blocks —
-// their weights occupy the budget instead of the reserve.
+// their weights occupy the budget instead of the reserve. The schedule
+// reuses a recycled one when there is any.
 func (sr *searcher) scheduleFromCuts(cuts []int) *Schedule {
 	n := len(sr.p.Blocks)
-	blocks := make([]Block, 0, len(cuts)+1)
+	var s *Schedule
+	if last := len(sr.free) - 1; last >= 0 {
+		s, sr.free = sr.free[last], sr.free[:last]
+	} else {
+		s = new(Schedule)
+	}
+	blocks := s.Blocks[:0]
 	payloads := sr.spay[:0]
 	start := 0
 	for i := 0; i <= len(cuts); i++ {
@@ -435,7 +470,7 @@ func (sr *searcher) scheduleFromCuts(cuts []int) *Schedule {
 		if i < len(cuts) {
 			end = cuts[i]
 		}
-		b := Block{Range: [2]int{start, end}, Cost: sr.mergeCosts(start, end)}
+		b := Block{Range: [2]int{start, end}, Cost: *sr.mergeCosts(start, end)}
 		start = end
 		if sr.opts.StreamWeights {
 			b.WBytes = b.Cost.WeightBytes
@@ -453,8 +488,13 @@ func (sr *searcher) scheduleFromCuts(cuts []int) *Schedule {
 			blocks[i].Policy = Keep
 		}
 	}
-	return &Schedule{Profile: sr.p, Opts: sr.opts, Blocks: blocks, Resident: resident, Budget: sr.budget}
+	*s = Schedule{Profile: sr.p, Opts: sr.opts, Blocks: blocks, Resident: resident, Budget: sr.budget}
+	return s
 }
+
+// recycle hands a candidate schedule nothing references any more back
+// to scheduleFromCuts.
+func (sr *searcher) recycle(s *Schedule) { sr.free = append(sr.free, s) }
 
 // scheduleFromCuts materializes a schedule with fully merged blocks (the
 // uncached, metadata-carrying path used outside the candidate search).
@@ -515,12 +555,19 @@ func checkpointPrefix(s *Schedule, r int, prefixBudget unit.Bytes) bool {
 		s.Blocks[i].Policy = Keep
 	}
 	var ckpt unit.Bytes
-	for _, b := range s.Blocks {
-		if b.Ckpt {
+	for i := range s.Blocks {
+		if b := &s.Blocks[i]; b.Ckpt {
 			ckpt += b.Cost.OutBytes
 		}
 	}
 	return ckpt+maxRunBytes(s.Blocks) <= prefixBudget
+}
+
+// recomputeCand is a swapped block markRecompute may flip to recompute,
+// with the time flipping it saves.
+type recomputeCand struct {
+	idx     int
+	benefit unit.Seconds
 }
 
 // markRecompute greedily flips swapped blocks to full recompute in order
@@ -532,27 +579,25 @@ func checkpointPrefix(s *Schedule, r int, prefixBudget unit.Bytes) bool {
 // reserve: each run replays from its predecessor's activations, which are
 // either resident or arrive on the swap-in stream (the compiler emits
 // that dependency).
-func markRecompute(s *Schedule, prefixBudget unit.Bytes, swapBW unit.BytesPerSec, lat unit.Seconds) {
-	type cand struct {
-		idx     int
-		benefit unit.Seconds
-	}
-	var cands []cand
-	for i, b := range s.Blocks {
+func (sr *searcher) markRecompute(s *Schedule, prefixBudget unit.Bytes) {
+	cands := sr.rcands[:0]
+	for i := range s.Blocks {
+		b := &s.Blocks[i]
 		if b.Policy != Swap || i == 0 || i == len(s.Blocks)-1 {
 			continue
 		}
-		move := unit.TransferTime(b.Cost.HeavyActBytes, swapBW, lat)
+		move := unit.TransferTime(b.Cost.HeavyActBytes, sr.bw, sr.lat)
 		extraReplay := b.Cost.FwdTime - b.Cost.CheapFwdTime
 		if benefit := move - extraReplay; benefit > 0 {
-			cands = append(cands, cand{idx: i, benefit: benefit})
+			cands = append(cands, recomputeCand{idx: i, benefit: benefit})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].benefit != cands[b].benefit {
-			return cands[a].benefit > cands[b].benefit
+	sr.rcands = cands
+	slices.SortFunc(cands, func(a, b recomputeCand) int {
+		if a.benefit != b.benefit {
+			return cmp.Compare(b.benefit, a.benefit)
 		}
-		return cands[a].idx < cands[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	runCap := prefixBudget / 2
 	for _, c := range cands {
@@ -567,8 +612,8 @@ func markRecompute(s *Schedule, prefixBudget unit.Bytes, swapBW unit.BytesPerSec
 // payload; checkpointed blocks end their run.
 func maxRunBytes(blocks []Block) unit.Bytes {
 	var max, cur unit.Bytes
-	for _, b := range blocks {
-		if b.Policy == Recompute {
+	for i := range blocks {
+		if b := &blocks[i]; b.Policy == Recompute {
 			cur += b.Payload()
 			if cur > max {
 				max = cur

@@ -13,6 +13,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"karma/internal/sim"
@@ -266,8 +267,8 @@ func (p *Plan) Compile() (*Compiled, error) {
 
 // Compiler lowers plans to simulator ops while retaining its working
 // buffers — the op/ref arenas, the dependency arena, the (kind, block)
-// recency table, and the label cache — between Compile calls, so
-// lowering same-shape plans allocates ~nothing after the first call.
+// recency table, and the per-kind label table — between Compile calls,
+// so lowering same-shape plans allocates nothing after the first call.
 // A Compiler is not safe for concurrent use, and the Compiled view it
 // returns is overwritten by the next Compile call.
 type Compiler struct {
@@ -276,27 +277,30 @@ type Compiler struct {
 	// last and seen are flat (kind, block) tables sized numKinds*NumBlocks:
 	// most recent sim-op index per key (-1 = none), and whether the key
 	// appeared at all (validation).
-	last   []int
-	seen   []bool
-	labels map[labelKey]string
+	last []int
+	seen []bool
+	// labels[k][b] is the "<kind><block>" label, formatted on first use.
+	// Rows only grow, so a Compiler alternating between plan sizes keeps
+	// every label it has formatted.
+	labels [numKinds][]string
 }
 
-type labelKey struct {
-	k Kind
-	b int
-}
-
-// label returns the cached "<kind><block>" string, formatting it once.
-func (c *Compiler) label(k Kind, b int) string {
-	if s, ok := c.labels[labelKey{k, b}]; ok {
-		return s
+// label returns the "<kind><block>" string of a block of a plan with
+// numBlocks blocks, formatting it once. A row too short for the plan
+// grows to its size, so lowering one plan grows each row at most once.
+func (c *Compiler) label(k Kind, b, numBlocks int) string {
+	row := c.labels[k]
+	if b >= len(row) {
+		grown := make([]string, numBlocks)
+		copy(grown, row)
+		row = grown
+		c.labels[k] = row
 	}
-	if c.labels == nil {
-		c.labels = map[labelKey]string{}
+	if row[b] == "" {
+		var buf [16]byte
+		row[b] = string(strconv.AppendInt(append(buf[:0], k.String()...), int64(b), 10))
 	}
-	s := fmt.Sprintf("%s%d", k, b)
-	c.labels[labelKey{k, b}] = s
-	return s
+	return row[b]
 }
 
 // validate mirrors Plan.Validate exactly (same checks, same error
@@ -338,6 +342,10 @@ func (c *Compiler) validate(p *Plan) error {
 	return nil
 }
 
+// depsPerOp sizes the dependency arena: the launch gate plus one data
+// dependency covers most ops; the arena still grows for denser plans.
+const depsPerOp = 2
+
 // Compile lowers the plan, reusing the Compiler's buffers. Semantics
 // are identical to Plan.Compile.
 func (c *Compiler) Compile(p *Plan) (*Compiled, error) {
@@ -355,6 +363,20 @@ func (c *Compiler) Compile(p *Plan) (*Compiled, error) {
 	}
 	if err := c.validate(p); err != nil {
 		return nil, err
+	}
+	// Size the arenas from the op count up front, so neither a one-shot
+	// Compile nor the first lowering of a reused Compiler regrows them.
+	nops := 0
+	for _, st := range p.Stages {
+		nops += len(st.Ops)
+	}
+	if cap(c.out.Ops) < nops {
+		c.out.Ops = make([]sim.Op, 0, nops)
+		c.out.Refs = make([]Ref, 0, nops)
+		c.out.PlanOps = make([]Op, 0, nops)
+	}
+	if cap(c.deps) < depsPerOp*nops {
+		c.deps = make([]int, 0, depsPerOp*nops)
 	}
 	c.out.Ops = c.out.Ops[:0]
 	c.out.Refs = c.out.Refs[:0]
@@ -491,7 +513,7 @@ func (c *Compiler) Compile(p *Plan) (*Compiled, error) {
 				}
 			}
 			c.out.Ops = append(c.out.Ops, sim.Op{
-				Label:      c.label(op.Kind, op.Block),
+				Label:      c.label(op.Kind, op.Block, p.NumBlocks),
 				Stream:     op.Kind.stream(),
 				Duration:   op.Duration,
 				Deps:       c.deps[depStart:len(c.deps):len(c.deps)],

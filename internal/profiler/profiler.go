@@ -262,7 +262,7 @@ func (p *Profile) MergeCosts(i, j int) Block {
 	out.Seg.PinnedIn = nil
 	out.Seg.Nodes = nil
 	for k := i + 1; k < j; k++ {
-		b := p.Blocks[k]
+		b := &p.Blocks[k]
 		out.Stats.FwdFLOPs += b.Stats.FwdFLOPs
 		out.Stats.BwdFLOPs += b.Stats.BwdFLOPs
 		out.Stats.Params += b.Stats.Params
