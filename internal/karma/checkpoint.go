@@ -103,12 +103,12 @@ func CheckpointFootprint(p *profiler.Profile) unit.Bytes {
 }
 
 // checkpointSearch is the shared state of the run-count scan: the
-// partition weights and the parametric-search memo (built once, queried
-// per candidate runs count) plus the anchor marks of the most recent
-// candidate. Identity blocks carry no weights or gradients, so a block's
-// Payload is exactly its profiled ActBytes — the candidate footprint is
-// computable from the profile and the cut positions alone, without
-// materializing a schedule per runs count.
+// Partitioner over the prefix weights (built once, so its greedy-count
+// spans serve every candidate runs count) plus the anchor marks of the
+// most recent candidate. Identity blocks carry no weights or gradients,
+// so a block's Payload is exactly its profiled ActBytes — the candidate
+// footprint is computable from the profile and the cut positions alone,
+// without materializing a schedule per runs count.
 type checkpointSearch struct {
 	p        *profiler.Profile
 	r        int // prefix length: blocks [0, r) recompute, block r stays resident
@@ -129,7 +129,7 @@ func newCheckpointSearch(p *profiler.Profile) *checkpointSearch {
 			cs.maxBlock = pl
 		}
 	}
-	cs.pt, _ = solve.NewPartitioner(weights) // ActBytes >= 0: cannot fail
+	cs.pt, _ = solve.NewPartitioner(weights) // finite, non-negative: cannot fail
 	return cs
 }
 

@@ -43,9 +43,10 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 		}
 		weights[i] = w + 1
 	}
-	// One Partitioner serves every k below: its parametric-search memo is
-	// shared across the Opt-1 enumeration and the Opt-2 ladder (cut
-	// positions are bit-identical to per-k BalancedPartition calls).
+	// One Partitioner serves every k below: the greedy-count spans it
+	// records while bisecting for one k answer most probes of the others,
+	// across the Opt-1 enumeration and the Opt-2 ladder (cut positions
+	// are bit-identical to per-k BalancedPartition calls).
 	pt, err := solve.NewPartitioner(weights)
 	if err != nil {
 		return nil, err

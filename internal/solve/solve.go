@@ -12,6 +12,8 @@ package solve
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"karma/internal/aco"
@@ -46,7 +48,7 @@ func validCuts(cuts []int, n int) bool {
 // BalancedPartition returns the cut positions splitting the n weights
 // into k contiguous groups minimizing the maximum group sum (the classic
 // linear-partition problem, solved by parametric search). Weights must be
-// non-negative. It returns k-1 cuts; k must be in [1, n].
+// finite and non-negative. It returns k-1 cuts; k must be in [1, n].
 func BalancedPartition(w []float64, k int) ([]int, error) {
 	pt, err := NewPartitioner(w)
 	if err != nil {
@@ -56,18 +58,35 @@ func BalancedPartition(w []float64, k int) ([]int, error) {
 }
 
 // Partitioner answers BalancedPartition queries for many group counts
-// over one weight slice, memoizing the greedy group count per probed cap
-// so the parametric searches for different k — which visit overlapping
-// cap values — share their scans. A sweep that partitions the same chain
-// into every candidate k (the checkpoint run-count search) pays one scan
-// per distinct cap instead of one per (cap, k). Cut positions are
-// bit-identical to BalancedPartition's: the probe sequence and every
-// comparison are unchanged, only redundant rescans are skipped.
+// over one weight slice. The parametric search for each k probes the
+// greedy group count at 60 caps; a sweep over many k (the checkpoint
+// run-count scan, the KARMA Opt-1 enumeration) probes thousands.
+//
+// Each greedy scan at cap c compares its running sums s with c once
+// each: s > c breaks a group, s <= c extends it. Every cap in
+// [max extending s, min breaking s) makes the same comparisons come out
+// the same way, so the scan takes the same path and yields the same
+// count there. The Partitioner records that half-open span per scan, in
+// a slice sorted by position (spans of different paths are disjoint),
+// and answers any later probe inside a span with a binary search. The
+// count never grows with the cap — also in float arithmetic, since the
+// weights are finite and non-negative and rounding is monotone — so a
+// probe in the gap between two spans of equal count takes that count
+// too. Only the remaining probes scan the chain. Every probe therefore
+// gets the answer a fresh scan would give, and cut positions are
+// bit-identical to a scan per probe.
 type Partitioner struct {
 	w           []float64
 	total, maxw float64
-	counts      map[float64]int
+	spans       []span  // sorted, disjoint; see count
 	groups      []group // scratch for the leftover-split phase
+}
+
+// span is the cap interval [lo, hi) over which the greedy scan takes one
+// path and needs count groups.
+type span struct {
+	lo, hi float64
+	count  int
 }
 
 type group struct {
@@ -75,40 +94,60 @@ type group struct {
 	sum        float64
 }
 
-// NewPartitioner validates the weights (which must be non-negative) and
-// returns a Partitioner over them. The caller must not mutate w.
+// NewPartitioner validates the weights (which must be finite and
+// non-negative, with a finite sum) and returns a Partitioner over them.
+// The caller must not mutate w.
 func NewPartitioner(w []float64) (*Partitioner, error) {
 	pt := &Partitioner{w: w}
 	for _, v := range w {
-		if v < 0 {
-			return nil, fmt.Errorf("solve: negative weight %v", v)
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("solve: invalid weight %v", v)
 		}
 		pt.total += v
 		if v > pt.maxw {
 			pt.maxw = v
 		}
 	}
+	if math.IsInf(pt.total, 1) {
+		return nil, fmt.Errorf("solve: weight sum overflows")
+	}
 	return pt, nil
 }
 
 // count returns the number of groups the greedy split needs under cap.
 func (pt *Partitioner) count(cap float64) int {
-	if g, ok := pt.counts[cap]; ok {
-		return g
+	// Every running sum is at most the full left-to-right sum, so no scan
+	// breaks at or above it. Answering here also keeps the spans finite
+	// when an overflowing bisection midpoint probes +Inf.
+	if cap >= pt.total {
+		return 1
+	}
+	// spans[i] is the first span ending above cap: it holds cap or lies
+	// wholly above it, and every span before it lies wholly below.
+	spans := pt.spans
+	i := sort.Search(len(spans), func(h int) bool { return spans[h].hi > cap })
+	// A cap between two spans of equal count needs that count too, as the
+	// count never grows with the cap.
+	if i < len(spans) && (spans[i].lo <= cap || i > 0 && spans[i-1].count == spans[i].count) {
+		return spans[i].count
 	}
 	groups, sum := 1, 0.0
+	lo, hi := math.Inf(-1), math.Inf(1)
 	for _, v := range pt.w {
-		if sum+v > cap {
+		if s := sum + v; s > cap {
 			groups++
 			sum = v
+			if s < hi {
+				hi = s
+			}
 		} else {
-			sum += v
+			sum = s
+			if s > lo {
+				lo = s
+			}
 		}
 	}
-	if pt.counts == nil {
-		pt.counts = map[float64]int{}
-	}
-	pt.counts[cap] = groups
+	pt.spans = slices.Insert(spans, i, span{lo, hi, groups})
 	return groups
 }
 

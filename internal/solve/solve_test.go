@@ -108,6 +108,16 @@ func TestBalancedPartitionErrors(t *testing.T) {
 	if _, err := BalancedPartition([]float64{1, -2, 1}, 2); err == nil {
 		t.Error("negative weight should error")
 	}
+	for _, w := range [][]float64{
+		{1, math.NaN(), 1},
+		{1, math.Inf(1), 1},
+		{math.Inf(-1), 1},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		if _, err := NewPartitioner(w); err == nil {
+			t.Errorf("weights %v should error", w)
+		}
+	}
 }
 
 func TestHillClimbFindsBalance(t *testing.T) {
