@@ -36,8 +36,8 @@ var Analyzer = &analysis.Analyzer{
 		"packages whose deterministic output golden tests depend on",
 	Packages: []string{
 		"karma/internal/experiments", "karma/internal/dist", "karma/internal/karma",
-		// The sweep engine orders results; the bench gate orders reports.
-		"karma/internal/sweep", "karma/internal/benchcmp",
+		// The sweep engine orders results.
+		"karma/internal/sweep",
 		// The simulator core retired its `running` map for an indexed
 		// heap; keep map iteration from creeping back into the hot loop.
 		"karma/internal/sim",

@@ -4,7 +4,7 @@
 // (best blocking), Fig. 8 (multi-node scaling), Table I (capability
 // matrix), Table IV (Megatron-LM configurations) and Table V
 // (cost/performance). The same generators back cmd/karma-bench, the test
-// suite, and the benchmark harness, so what is asserted is what is
+// suite, and perfbench's cluster panels, so what is asserted is what is
 // printed.
 package experiments
 

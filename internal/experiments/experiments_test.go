@@ -256,6 +256,12 @@ func TestAblations(t *testing.T) {
 	if byID["A4"].Value < 1 {
 		t.Errorf("A4: GPU-side update should not be faster (got %.3f)", byID["A4"].Value)
 	}
+	if v := byID["A5"].Value; v < 0.95 || v > 1.05 {
+		t.Errorf("A5: the ant-colony and balanced Opt-1 backends should agree within 5%% (got %.3f)", v)
+	}
+	if byID["A6"].Value < 1 {
+		t.Errorf("A6: fine blocking should not lose to coarse (got %.3f)", byID["A6"].Value)
+	}
 	tab := AblationTable(rs)
 	if len(tab.Rows) != 6 {
 		t.Error("ablation table rows mismatch")

@@ -4,7 +4,10 @@
 // response and graph caches of karma-serve are all instances of Cache.
 package memo
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // defaultLimit is the entry bound a zero Cache gets. It is set far above
 // the distinct-key count of any batch sweep (a full Fig. 8 + Table IV/V
@@ -28,12 +31,12 @@ const defaultLimit = 8192
 //     computation must be a pure function of its key, so eviction can
 //     never change a result — a re-computed entry is bit-identical to
 //     the evicted one — it only trades memory for recompute time.
-//   - Errors are never retained: a computation that fails is removed as
-//     soon as its error is observed, so the next lookup of that key
-//     retries instead of serving a stale failure forever. Callers that
-//     were already blocked on the failing flight share its error (that
-//     is the singleflight contract); callers arriving after it resolved
-//     start a fresh computation.
+//   - Errors are never retained: a computation that fails (or panics)
+//     is removed as soon as its error is observed, so the next lookup of
+//     that key retries instead of serving a stale failure forever.
+//     Callers that were already blocked on the failing flight share its
+//     error (that is the singleflight contract); callers arriving after
+//     it resolved start a fresh computation.
 //
 // The zero Cache is ready to use and bounded by defaultLimit.
 type Cache[K comparable, V any] struct {
@@ -79,7 +82,9 @@ func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 // Do returns the cached value for k, computing it with fn exactly once
 // across all concurrent callers. A nil error caches the value (until
 // LRU eviction); a non-nil error is propagated to every caller of the
-// in-flight computation and then forgotten, so later callers retry.
+// in-flight computation and then forgotten, so later callers retry. A
+// panic in fn is treated as a failure: the callers waiting on the flight
+// get it as an error, and the caller that ran fn panics with it.
 func (c *Cache[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if c.m == nil {
@@ -114,19 +119,36 @@ func (c *Cache[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 	}
 	c.mu.Unlock()
 
-	e.once.Do(func() { e.v, e.err = fn() })
+	e.once.Do(func() {
+		// sync.Once counts a panicking fn as done, so without this the
+		// key would stay cached as (zero, nil). The waiters get the panic
+		// as the flight's error; the goroutine that ran fn re-panics from
+		// inside the deferred call, so its trace keeps fn's frames.
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("memo: computation panicked: %v", r)
+				c.forget(k, e)
+				panic(r)
+			}
+		}()
+		e.v, e.err = fn()
+	})
 	if e.err != nil {
-		// Forget the failed flight so the next Do(k) retries. Guard on
-		// identity: the slot may already hold a fresh retry entry (or the
-		// failed one may have been evicted), which must not be dropped.
-		c.mu.Lock()
-		if c.m[k] == e {
-			c.unlink(e)
-			delete(c.m, k)
-		}
-		c.mu.Unlock()
+		c.forget(k, e)
 	}
 	return e.v, e.err
+}
+
+// forget drops a failed flight so the next Do(k) retries. It guards on
+// identity: the slot may already hold a fresh retry entry (or the failed
+// one may have been evicted), which must not be dropped.
+func (c *Cache[K, V]) forget(k K, e *entry[K, V]) {
+	c.mu.Lock()
+	if c.m[k] == e {
+		c.unlink(e)
+		delete(c.m, k)
+	}
+	c.mu.Unlock()
 }
 
 // Stats returns a snapshot of the cache's counters and size.

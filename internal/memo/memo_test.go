@@ -2,6 +2,7 @@ package memo
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,67 @@ func TestErrorSharedByFlight(t *testing.T) {
 	v, err := c.Do(1, fn)
 	if err != nil || v != 5 {
 		t.Fatalf("post-flight: got (%d, %v), want (5, nil)", v, err)
+	}
+}
+
+// TestPanicNotCached checks that a panicking computation does not leave
+// its key cached as (zero, nil): the goroutine that ran fn still panics,
+// callers waiting on the flight get an error, and the next lookup runs
+// a fresh computation.
+func TestPanicNotCached(t *testing.T) {
+	c := New[string, int](0)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	boom := func() (int, error) {
+		close(started)
+		<-release
+		panic("boom")
+	}
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do("k", boom)
+	}()
+	<-started
+	// The waiter either joins the panicking flight (and gets its error)
+	// or arrives after the entry was dropped (and computes 2 itself).
+	waiter := make(chan error)
+	go func() {
+		v, err := c.Do("k", func() (int, error) { return 2, nil })
+		if err == nil && v != 2 {
+			err = fmt.Errorf("got (%d, nil) from a retry, want 2", v)
+		}
+		waiter <- err
+	}()
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("the goroutine that ran fn recovered %v, want boom", r)
+	}
+	if err := <-waiter; err != nil && !strings.Contains(err.Error(), "panicked: boom") {
+		t.Errorf("waiter: %v, want the panic as an error or a retried 2", err)
+	}
+
+	c2 := New[string, int](0)
+	func() {
+		defer func() { _ = recover() }()
+		c2.Do("k", func() (int, error) { panic("boom") })
+	}()
+	if got := c2.Stats().Entries; got != 0 {
+		t.Fatalf("after a panic: %d entries resident, want 0", got)
+	}
+	v, err := c2.Do("k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("after a panic: got (%d, %v), want (7, nil) from a fresh computation", v, err)
+	}
+}
+
+// TestHitDoesNotAllocate pins the cost of a cached lookup.
+func TestHitDoesNotAllocate(t *testing.T) {
+	c := New[int, int](0)
+	fn := func() (int, error) { return 1, nil }
+	c.Do(1, fn)
+	if n := testing.AllocsPerRun(100, func() { c.Do(1, fn) }); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
 	}
 }
 
