@@ -201,7 +201,7 @@ func TestExportKARMAIsCostedPlan(t *testing.T) {
 				if c.o.ZeROShard {
 					gs = 1 / float64(gpus)
 				}
-				p, err := pe.profile(g, cl.Node, batch, c.o.Precision.DType())
+				p, err := replicaProfile(g, cl.Node, batch, c.o.Precision.DType())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,10 +17,12 @@ import (
 type CacheStats = memo.Stats
 
 // SharedCacheStats sums the process-wide evaluator caches both backends
-// share (graph/shard builds, shard profiles, schedules, footprints).
+// share (graph/shard builds, replica and shard profiles, schedules,
+// footprints).
 func SharedCacheStats() CacheStats {
 	var s CacheStats
 	s.Add(sharedGraphs.Stats())
+	s.Add(sharedReplicas.Stats())
 	s.Add(sharedShards.Stats())
 	s.Add(sharedProfiles.Stats())
 	s.Add(sharedScheds.Stats())
@@ -28,18 +30,25 @@ func SharedCacheStats() CacheStats {
 	return s
 }
 
-// CacheStats sums the planner-backed evaluator's instance caches (KARMA
-// replica profiles and partition searches).
+// CacheStats reports the planner-backed evaluator's instance cache: the
+// KARMA replica partition searches (the replica profiles they search
+// live in the shared set).
 func (p *Planned) CacheStats() CacheStats {
-	var s CacheStats
-	s.Add(p.profiles.Stats())
-	s.Add(p.schedules.Stats())
-	return s
+	return p.schedules.Stats()
 }
 
 // ---------------------------------------------------------------------------
 // Cross-grid memoization shared by both evaluator backends
 // ---------------------------------------------------------------------------
+//
+// Model graphs are interned by the value that builds them: a transformer
+// config (CachedTransformer) or a model name (CachedModel). Every panel
+// builder and the daemon resolve graphs through these two memos, so one
+// configuration is one *graph.Graph for the life of the process, and
+// the graph-keyed replica profiles below (and the Planned partition
+// searches keyed by those profiles) hit across panels, passes and
+// requests. Interning is exact by construction: equal keys build equal
+// graphs, and nothing mutates a graph once built.
 //
 // The hybrid and pipeline setup paths (hybridSetup, pipelineSetup) are
 // pure functions of value-typed inputs: a transformer config, an MP
@@ -48,7 +57,8 @@ func (p *Planned) CacheStats() CacheStats {
 // every GPU count of a Fig. 8 row, both exchange variants of the MP+DP
 // curve, every topology of the sensitivity ladder — so the builds,
 // profiles, in-core/checkpointed schedules and footprints are memoized
-// process-wide, keyed by value (no caller pointers are retained). Both
+// process-wide, keyed by value (the replica profiles by interned graph).
+// Both
 // backends share these caches: the planned path re-simulates each
 // configuration's exchange composition, but never re-profiles or
 // re-partitions a shard shape the analytic path already solved.
@@ -80,29 +90,60 @@ type shardSchedKey struct {
 	ckpt   bool
 }
 
+// graphKey identifies a full-model build by the value that builds it:
+// a transformer config, or (cfg zero) a model.Build registry name.
+type graphKey struct {
+	cfg  model.TransformerConfig
+	name string
+}
+
+// replicaKey identifies a full-model replica profile: an interned graph
+// plus the profiling node, batch and dtype.
+type replicaKey struct {
+	g     *graph.Graph
+	node  hw.Node
+	batch int
+	dt    tensor.DType
+}
+
 var (
-	sharedGraphs    memo.Cache[model.TransformerConfig, *graph.Graph]
+	sharedGraphs    memo.Cache[graphKey, *graph.Graph]
+	sharedReplicas  memo.Cache[replicaKey, *profiler.Profile]
 	sharedShards    memo.Cache[modelKey, *model.Shard]
 	sharedProfiles  memo.Cache[shardProfileKey, *profiler.Profile]
 	sharedScheds    memo.Cache[shardSchedKey, *karma.Schedule]
 	sharedFootprint memo.Cache[shardProfileKey, unit.Bytes]
 )
 
-// cachedGraph returns the memoized full-model build for cfg.
-func cachedGraph(cfg model.TransformerConfig) *graph.Graph {
-	g, _ := sharedGraphs.Do(cfg, func() (*graph.Graph, error) {
+// CachedTransformer returns the interned full-model build for cfg: every
+// call with an equal config returns the same *graph.Graph, so the
+// graph-keyed profile and partition-search caches hit instead of
+// growing. Callers must not mutate the graph.
+func CachedTransformer(cfg model.TransformerConfig) *graph.Graph {
+	g, _ := sharedGraphs.Do(graphKey{cfg: cfg}, func() (*graph.Graph, error) {
 		return model.Transformer(cfg), nil
 	})
 	return g
 }
 
-// CachedTransformer returns the process-wide memoized full-model build
-// for cfg. Long-lived callers (karma-serve) route transformer builds
-// through this cache so that repeated requests for one configuration
-// reuse one *graph.Graph — which in turn keeps the planner-backed
-// evaluator's pointer-keyed caches hitting instead of growing.
-func CachedTransformer(cfg model.TransformerConfig) *graph.Graph {
-	return cachedGraph(cfg)
+// CachedModel returns the interned model.Build graph for a model name
+// (same contract as CachedTransformer). An unknown name returns
+// model.Build's error, which is never cached.
+func CachedModel(name string) (*graph.Graph, error) {
+	return sharedGraphs.Do(graphKey{name: name}, func() (*graph.Graph, error) {
+		return model.Build(name)
+	})
+}
+
+// replicaProfile returns the memoized full-model replica profile of g —
+// the one profile both backends' KARMADataParallel and DataParallel
+// cost, so a grid point profiled by either is never profiled again.
+// The key holds g's pointer: pass interned graphs (CachedTransformer,
+// CachedModel) for cross-call hits.
+func replicaProfile(g *graph.Graph, node hw.Node, batch int, dt tensor.DType) (*profiler.Profile, error) {
+	return sharedReplicas.Do(replicaKey{g: g, node: node, batch: batch, dt: dt}, func() (*profiler.Profile, error) {
+		return profiler.New(g, node, profiler.Options{Batch: batch, DType: dt})
+	})
 }
 
 // cachedShard returns the memoized 1/mp tensor-parallel shard build.
@@ -118,7 +159,7 @@ func cachedShard(cfg model.TransformerConfig, mp int) *model.Shard {
 // pipeline baseline partitions the unsharded transformer).
 func cachedProfile(k shardProfileKey) (*profiler.Profile, error) {
 	return sharedProfiles.Do(k, func() (*profiler.Profile, error) {
-		g := cachedGraph(k.mk.cfg)
+		g := CachedTransformer(k.mk.cfg)
 		if k.mk.mp >= 1 {
 			g = cachedShard(k.mk.cfg, k.mk.mp).Graph
 		}

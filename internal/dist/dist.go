@@ -34,15 +34,16 @@
 //     shard builds are cached so sweeps stay tractable.
 //
 // The two backends diverge only in timing fidelity, never on "does it
-// fit": they share one feasibility path (the KARMA precheck, and
-// hybridSetup for the MP hybrids), so verdicts and Reason strings agree
-// by construction, and they coincide exactly for fully in-core KARMA
-// replicas. Analytic-vs-Planned iteration times are held to a bounded
-// band by the property tests in hybrid_test.go. The models return a
-// Result rather than an error for capacity problems (undersized
-// clusters, models that cannot be sharded small enough), so experiment
-// sweeps can render infeasible cells; errors are reserved for invalid
-// arguments.
+// fit": they share one feasibility path (the KARMA precheck,
+// hybridSetup for the MP hybrids, pipelineSetup for the pipeline), so
+// verdicts and Reason strings agree by construction — the capacity-batch
+// searches (capacity.go) walk that precheck instead of costing every
+// batch — and they coincide exactly for fully in-core KARMA replicas.
+// Analytic-vs-Planned iteration times are held to a bounded band by the
+// property tests in hybrid_test.go. The models return a Result rather
+// than an error for capacity problems (undersized clusters, models that
+// cannot be sharded small enough), so experiment sweeps can render
+// infeasible cells; errors are reserved for invalid arguments.
 package dist
 
 import (
@@ -375,7 +376,7 @@ func KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, sam
 	if total := cl.TotalDevices(); gpus > total {
 		return infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
 	}
-	p, err := profiler.New(g, cl.Node, profiler.Options{Batch: perReplicaBatch, DType: o.Precision.DType()})
+	p, err := replicaProfile(g, cl.Node, perReplicaBatch, o.Precision.DType())
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +407,7 @@ func DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples 
 	if total := cl.TotalDevices(); gpus > total {
 		return infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
 	}
-	p, err := profiler.New(g, cl.Node, profiler.Options{Batch: perReplicaBatch})
+	p, err := replicaProfile(g, cl.Node, perReplicaBatch, tensor.FP32)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"karma/internal/comm"
-	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/karma"
 	"karma/internal/model"
@@ -154,23 +153,25 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 // its backward pass (the embedding has none — token ids carry no
 // gradient).
 func arCounts(shard *model.Shard, p *profiler.Profile) (fwdAR, bwdAR []int) {
-	blockOf := map[graph.NodeID]int{}
+	// blockOf[id] is 1 + the block holding node id (0: in no block),
+	// dense over the shard graph's node IDs.
+	blockOf := make([]int32, shard.Graph.Len())
 	for i, b := range p.Blocks {
 		for _, id := range b.Seg.Nodes {
-			blockOf[id] = i
+			blockOf[id] = int32(i + 1)
 		}
 	}
 	fwdAR = make([]int, len(p.Blocks))
 	bwdAR = make([]int, len(p.Blocks))
 	for _, id := range shard.AllReduce {
-		if i, ok := blockOf[id]; ok {
-			fwdAR[i]++
-			bwdAR[i]++
+		if i := blockOf[id]; i > 0 {
+			fwdAR[i-1]++
+			bwdAR[i-1]++
 		}
 	}
 	if shard.EmbedAllReduce >= 0 {
-		if i, ok := blockOf[shard.EmbedAllReduce]; ok {
-			fwdAR[i]++
+		if i := blockOf[shard.EmbedAllReduce]; i > 0 {
+			fwdAR[i-1]++
 		}
 	}
 	return fwdAR, bwdAR

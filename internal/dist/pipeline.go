@@ -325,31 +325,6 @@ func Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perRepli
 	return r, nil
 }
 
-// PipelineCapacityBatch returns the largest power-of-two per-replica
-// batch at which the pipeline stays feasible (micro-batch count held
-// fixed), with its evaluation — the same operational rule as
-// ZeROCapacityBatch: a deployment maximizes the per-replica batch before
-// scaling out. When no batch fits, the batch-`micro` infeasible Result
-// is returned so sweeps can render the cell.
-func PipelineCapacityBatch(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, micro, samples int, ev Evaluator, o HybridOptions) (int, *Result, error) {
-	batch := micro
-	best, err := ev.Pipeline(cfg, cl, stages, gpus, batch, micro, samples, o)
-	if err != nil {
-		return 0, nil, err
-	}
-	for b := 2 * micro; best.Feasible && b <= micro<<12; b *= 2 {
-		r, err := ev.Pipeline(cfg, cl, stages, gpus, b, micro, samples, o)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !r.Feasible {
-			break
-		}
-		batch, best = b, r
-	}
-	return batch, best, nil
-}
-
 // pipelineBudget returns the device memory available to one stage's
 // in-flight activations (used by the planned backend's simulation).
 func pipelineBudget(st pipeStage, cl hw.Cluster, o HybridOptions) unit.Bytes {

@@ -15,7 +15,6 @@ import (
 	"karma/internal/plan"
 	"karma/internal/profiler"
 	"karma/internal/sim"
-	"karma/internal/tensor"
 	"karma/internal/unit"
 )
 
@@ -29,14 +28,17 @@ import (
 // as Network-stream ops, so swap and recompute stalls overlap the
 // exchange exactly as in Fig. 3.
 //
-// Planner runs are cached by (graph, node, batch) for profiles and by
-// (profile, planner options) for schedules, so sweeps re-plan each
-// replica shape once and re-simulate only the cheap exchange composition
-// per configuration. Note that under ZeROShard the gradient shard
-// (1/gpus) is part of the replica shape — each GPU count genuinely plans
-// a different footprint — so a ZeRO sweep replans per GPU count by
-// design. Distinct graphs must be distinct pointers (true for every
-// model.Build/model.Transformer call site).
+// Replica profiles come from the process-wide memo both backends share,
+// keyed by (graph, node, batch, dtype); partition searches are cached
+// per evaluator by (profile, planner options). Graphs are interned by
+// the value that builds them (CachedTransformer, CachedModel), so equal
+// configurations share one graph, hence one profile, hence one search:
+// sweeps re-plan each replica shape once per process and re-simulate
+// only the cheap exchange composition per configuration, and a second
+// pass over the same panels re-plans nothing. Note that under ZeROShard
+// the gradient shard (1/gpus) is part of the replica shape — each GPU
+// count genuinely plans a different footprint — so a ZeRO sweep
+// replans per GPU count by design.
 //
 // Both caches are singleflight LRUs (internal/memo), so one shared
 // Planned serves a parallel sweep: concurrent grid points that need the
@@ -60,7 +62,6 @@ import (
 // feasibility verdict. Recording returns a variant that also keeps the
 // plan and timeline behind every result it returns (the export path).
 type Planned struct {
-	profiles  *memo.Cache[profileKey, *profiler.Profile]
 	schedules *memo.Cache[schedKey, planOutcome]
 
 	// observe, when set, receives the wall-clock duration of each
@@ -101,13 +102,6 @@ func (pe *Planned) timed(phase string, fn func()) {
 	pe.observe(phase, time.Since(start).Seconds())
 }
 
-type profileKey struct {
-	g     *graph.Graph
-	node  hw.Node
-	batch int
-	dt    tensor.DType
-}
-
 type schedKey struct {
 	p    *profiler.Profile
 	opts karma.Options
@@ -115,10 +109,7 @@ type schedKey struct {
 
 // NewPlanned returns a planner-backed evaluator with empty caches.
 func NewPlanned() *Planned {
-	return &Planned{
-		profiles:  memo.New[profileKey, *profiler.Profile](0),
-		schedules: memo.New[schedKey, planOutcome](0),
-	}
+	return &Planned{schedules: memo.New[schedKey, planOutcome](0)}
 }
 
 // errForcedFallback is returned by the simulation paths under the
@@ -127,14 +118,6 @@ var errForcedFallback = fmt.Errorf("dist: simulation disabled (test hook)")
 
 // Name implements Evaluator.
 func (*Planned) Name() string { return "planned" }
-
-// profile returns the cached per-replica profile.
-func (pe *Planned) profile(g *graph.Graph, node hw.Node, batch int, dt tensor.DType) (*profiler.Profile, error) {
-	key := profileKey{g: g, node: node, batch: batch, dt: dt}
-	return pe.profiles.Do(key, func() (*profiler.Profile, error) {
-		return profiler.New(g, node, profiler.Options{Batch: batch, DType: dt})
-	})
-}
 
 // planOutcome is a cached partition-search verdict. karma.Plan is a
 // pure function of (profile, options), so "no feasible schedule" is as
@@ -171,7 +154,7 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 	if total := cl.TotalDevices(); gpus > total {
 		return stamp(infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus)), nil
 	}
-	p, err := pe.profile(g, cl.Node, perReplicaBatch, o.Precision.DType())
+	p, err := replicaProfile(g, cl.Node, perReplicaBatch, o.Precision.DType())
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"karma/internal/hw"
 	"karma/internal/memo"
 	"karma/internal/model"
-	"karma/internal/profiler"
 )
 
 // sameResult compares two results by value, following the Breakdown
@@ -116,7 +115,6 @@ func TestPlannedConcurrentStress(t *testing.T) {
 	// but must never change a value — and under -race this exercises the
 	// LRU surgery concurrently with singleflight joins.
 	tiny := NewPlanned()
-	tiny.profiles = memo.New[profileKey, *profiler.Profile](2)
 	tiny.schedules = memo.New[schedKey, planOutcome](2)
 	var ewg sync.WaitGroup
 	eerrs := make([]error, goroutines)

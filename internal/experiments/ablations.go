@@ -36,7 +36,7 @@ func Ablations(node hw.Node, cl hw.Cluster, ev dist.Evaluator, workers int) ([]A
 	}
 	p256, p384, p512 := profs[0], profs[1], profs[2]
 	cfg := model.MegatronConfigs()[2]
-	g := model.Transformer(cfg)
+	g := dist.CachedTransformer(cfg)
 
 	studies := []func() (*AblationResult, error){
 		func() (*AblationResult, error) {

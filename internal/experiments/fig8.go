@@ -90,7 +90,7 @@ func Figure8Megatron(cl hw.Cluster, cfgIdx int, gpusList []int, ev dist.Evaluato
 	cfg := cfgs[cfgIdx]
 	mp := 1 << cfgIdx // Table IV: MP = 1,2,4,8,16
 	const perReplicaBatch = 4
-	g := model.Transformer(cfg)
+	g := dist.CachedTransformer(cfg)
 	panel := &Fig8Panel{
 		Model:   cfg.Name,
 		Methods: []string{"mp+dp", "mp+dp-opt", "karma-dp"},
@@ -154,43 +154,13 @@ func (p *Fig8Panel) fill(gpusList []int, cells [][]*dist.Result) {
 	}
 }
 
-// ZeROCapacityBatch returns the largest power-of-two per-replica batch
-// at which the ZeRO hybrid stays feasible on the cluster, together with
-// its evaluation — the operational rule of the ZeRO baseline (maximize
-// the per-GPU batch), and the "true global batch" calibration of the
-// Fig. 8 right panel: comparing epoch times against an artificially
-// small ZeRO batch inflates KARMA's advantage to ~4.5x where the paper
-// reports ~1.35x. Under o.Precision == MixedFP16 the capacity batch is
-// the fp16 one — the batch headroom the real Turing-NLG run had. When no
-// batch fits, the batch-1 infeasible Result is returned so sweeps can
-// render the cell; errors are reserved for invalid arguments.
-func ZeROCapacityBatch(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus int, ev dist.Evaluator, o FamilyOptions) (int, *dist.Result, error) {
-	ho := o.hybrid(true)
-	batch := 1
-	best, err := ev.ZeRO(cfg, cl, mp, gpus, batch, openWTSamples, ho)
-	if err != nil {
-		return 0, nil, err
-	}
-	for b := 2; best.Feasible && b <= 1<<12; b *= 2 {
-		r, err := ev.ZeRO(cfg, cl, mp, gpus, b, openWTSamples, ho)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !r.Feasible {
-			break
-		}
-		batch, best = b, r
-	}
-	return batch, best, nil
-}
-
 // ZeROBestConfig tunes the ZeRO reference the way a deployment would: it
 // sweeps the tensor-parallel degree over the powers of two up to
 // Turing-NLG's shipped MP=16 (smaller MP groups span fewer of ABCI's
 // 4-GPU nodes and pay cheaper blocking collectives, but need
 // checkpointing to fit), takes each at its capacity batch, and keeps the
 // fastest feasible epoch. Without checkpointing only MP=16 fits, which
-// degenerates to ZeROCapacityBatch.
+// degenerates to dist.ZeROCapacityBatch.
 func ZeROBestConfig(cfg model.TransformerConfig, cl hw.Cluster, gpus int, ev dist.Evaluator, o FamilyOptions) (int, int, *dist.Result, error) {
 	// The MP candidates evaluate in parallel (each capacity-batch sweep is
 	// inherently serial — every doubling depends on the previous verdict —
@@ -207,7 +177,7 @@ func ZeROBestConfig(cfg model.TransformerConfig, cl hw.Cluster, gpus int, ev dis
 		if gpus%mp != 0 || gpus/mp < 2 {
 			return zcand{}, nil
 		}
-		batch, r, err := ZeROCapacityBatch(cfg, cl, mp, gpus, ev, o)
+		batch, r, err := dist.ZeROCapacityBatch(cfg, cl, mp, gpus, openWTSamples, ev, o.hybrid(true))
 		return zcand{batch: batch, r: r}, err
 	})
 	if err != nil {
@@ -222,7 +192,7 @@ func ZeROBestConfig(cfg model.TransformerConfig, cl hw.Cluster, gpus int, ev dis
 	}
 	if best == nil {
 		// Nothing fits at any degree: report the shipped MP=16 verdict.
-		batch, r, err := ZeROCapacityBatch(cfg, cl, 16, gpus, ev, o)
+		batch, r, err := dist.ZeROCapacityBatch(cfg, cl, 16, gpus, openWTSamples, ev, o.hybrid(true))
 		return 16, batch, r, err
 	}
 	return bestMP, bestBatch, best, nil
@@ -240,7 +210,7 @@ func Figure8Turing(cl hw.Cluster, gpusList []int, ev dist.Evaluator, o FamilyOpt
 	cfg := model.TuringNLG()
 	const perReplicaBatch = 2
 	const pipeStages = 16 // matches the shipped MP=16 device split
-	g := model.Transformer(cfg)
+	g := dist.CachedTransformer(cfg)
 	panel := &Fig8Panel{
 		Model:   cfg.Name,
 		Methods: []string{"zero", "karma-dp", "zero+karma"},

@@ -70,7 +70,7 @@ func TableIV(cl hw.Cluster, ev dist.Evaluator, o FamilyOptions) ([]TableIVRow, e
 		case 0:
 			return ev.MegatronHybrid(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, openWTSamples, o.hybrid(false))
 		case 1:
-			return ev.KARMADataParallel(model.Transformer(cfg), cl, karmaGPUs[ri], perReplicaBatch, openWTSamples, o.karma())
+			return ev.KARMADataParallel(dist.CachedTransformer(cfg), cl, karmaGPUs[ri], perReplicaBatch, openWTSamples, o.karma())
 		default: // pipeline
 			return ev.Pipeline(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, o.micro(perReplicaBatch), openWTSamples, o.hybrid(true))
 		}
@@ -159,7 +159,10 @@ type TableVRow struct {
 // batch; KARMA holds 100 GPUs and grows the per-GPU batch out-of-core.
 // workers bounds the grid fan-out (sweep.Workers semantics).
 func TableVModel(cl hw.Cluster, name string, capacityBatch int, steps int, samples int, ev dist.Evaluator, workers int) ([]TableVRow, error) {
-	g := buildGraph(name)
+	g, err := dist.CachedModel(name)
+	if err != nil {
+		return nil, err
+	}
 	const karmaGPUs = 100
 	cells, err := runGrid(workers, steps, 2, func(ri, mi int) (*dist.Result, error) {
 		i := ri + 1

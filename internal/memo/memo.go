@@ -1,7 +1,8 @@
 // Package memo is the one cache implementation of the repository: a
 // bounded, singleflight-style concurrent LRU. The evaluator memos of
-// internal/dist (shard builds, profiles, partition searches) and the
-// response and graph caches of karma-serve are all instances of Cache.
+// internal/dist (interned graphs, shard builds, profiles, partition
+// searches) and the response cache of karma-serve are all instances of
+// Cache.
 package memo
 
 import (

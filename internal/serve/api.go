@@ -9,7 +9,6 @@ import (
 	"karma/internal/experiments"
 	"karma/internal/graph"
 	"karma/internal/hw"
-	"karma/internal/memo"
 	"karma/internal/model"
 	"karma/internal/tensor"
 	"karma/internal/topo"
@@ -207,22 +206,19 @@ func (r *EvaluateRequest) normalize() error {
 	return nil
 }
 
-// graphFor resolves the request's full-model graph through the given
-// name cache: transformer configs share the process-wide build memo in
-// internal/dist; named graph models the serve-level cache — either way
-// repeated requests reuse one *graph.Graph, which keeps the planner's
-// pointer-keyed caches hitting.
-func (r *EvaluateRequest) graphFor(graphs *memo.Cache[string, *graph.Graph]) (*graph.Graph, error) {
+// fullGraph resolves the request's full-model graph through the interned
+// builds of internal/dist (transformer configs by value, named models by
+// name), so repeated requests reuse one *graph.Graph and the evaluators'
+// graph-keyed caches hit.
+func (r *EvaluateRequest) fullGraph() (*graph.Graph, error) {
 	if r.Transformer != nil {
 		return dist.CachedTransformer(*r.Transformer), nil
 	}
-	return graphs.Do(r.Model, func() (*graph.Graph, error) {
-		return model.Build(r.Model)
-	})
+	return dist.CachedModel(r.Model)
 }
 
 // evaluate runs the normalized request against the evaluator.
-func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *memo.Cache[string, *graph.Graph]) (*dist.Result, error) {
+func (r *EvaluateRequest) evaluate(ev dist.Evaluator) (*dist.Result, error) {
 	cl, err := r.Cluster.cluster()
 	if err != nil {
 		return nil, err
@@ -234,7 +230,7 @@ func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *memo.Cache[string,
 	ho := dist.HybridOptions{Phased: r.Phased, Checkpoint: r.Ckpt, Precision: prec}
 	switch r.Family {
 	case "karma-dp":
-		g, err := r.graphFor(graphs)
+		g, err := r.fullGraph()
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +240,7 @@ func (r *EvaluateRequest) evaluate(ev dist.Evaluator, graphs *memo.Cache[string,
 			Precision:      prec,
 		})
 	case "dp":
-		g, err := r.graphFor(graphs)
+		g, err := r.fullGraph()
 		if err != nil {
 			return nil, err
 		}

@@ -143,7 +143,7 @@ func (s *Server) exportRequest(w http.ResponseWriter, r *http.Request, endpoint 
 // evaluator and returns the plan its verdict was costed on.
 func (s *Server) export(req *EvaluateRequest) (*dist.PlanExport, error) {
 	rec := s.planned.Recording()
-	return rec.Recorded(req.evaluate(rec, s.graphs))
+	return rec.Recorded(req.evaluate(rec))
 }
 
 // PlanResponse is the /v1/plan body: the compiled plan in its canonical

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"karma/internal/dist"
-	"karma/internal/graph"
 	"karma/internal/memo"
 )
 
@@ -91,7 +90,6 @@ type Server struct {
 	evals   map[string]dist.Evaluator
 	planned *dist.Planned               // evals["planned"]; exports record through it
 	cache   *memo.Cache[string, []byte] // response bodies by canonical request key
-	graphs  *memo.Cache[string, *graph.Graph]
 	metrics *metrics
 	build   buildInfo
 	slots   chan struct{}
@@ -131,7 +129,6 @@ func New(cfg Config) *Server {
 		},
 		planned: planned,
 		cache:   memo.New[string, []byte](cfg.CacheEntries),
-		graphs:  memo.New[string, *graph.Graph](64),
 		metrics: newMetrics(),
 		build:   readBuildInfo(),
 		slots:   make(chan struct{}, cfg.MaxInFlight),
@@ -380,7 +377,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, endpoint str
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	body, code, err := s.compute(ctx, endpoint, key, func() (any, error) {
-		res, err := req.evaluate(s.evals[req.Backend], s.graphs)
+		res, err := req.evaluate(s.evals[req.Backend])
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +442,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
 	caches := []cacheStats{
 		{name: "response", s: s.cache.Stats()},
-		{name: "graphs", s: s.graphs.Stats()},
 		{name: "evaluator_shared", s: dist.SharedCacheStats()},
 		{name: "evaluator_planned", s: s.planned.CacheStats()},
 	}

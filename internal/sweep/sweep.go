@@ -16,7 +16,9 @@
 package sweep
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -38,6 +40,10 @@ func Workers(n int) int {
 // pool interleaved. With one worker the jobs run inline in index order
 // and stop at the first error, exactly the serial loop it replaces.
 //
+// A job that panics does not take the process down: the panic is
+// recovered and becomes that job's error (carrying the panic value and
+// the goroutine's stack), ordered by index like any other error.
+//
 // Jobs communicate results by writing to distinct indices of
 // caller-owned slices; Do's completion (one sync.WaitGroup barrier)
 // orders those writes before Do returns.
@@ -51,7 +57,7 @@ func Do(workers, n int, job func(i int) error) error {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
+			if err := run(job, i); err != nil {
 				return err
 			}
 		}
@@ -69,7 +75,7 @@ func Do(workers, n int, job func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = job(i)
+				errs[i] = run(job, i)
 			}
 		}()
 	}
@@ -80,6 +86,16 @@ func Do(workers, n int, job func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// run calls job(i), turning a panic into an error.
+func run(job func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("sweep: job %d panicked: %v\n%s", i, v, debug.Stack())
+		}
+	}()
+	return job(i)
 }
 
 // Map runs f over 0..n-1 with Do's pool and ordering guarantees and

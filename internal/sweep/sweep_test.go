@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -146,5 +147,43 @@ func TestMap(t *testing.T) {
 		return i, nil
 	}); err == nil || err.Error() != "bad 5" {
 		t.Fatalf("err = %v, want bad 5", err)
+	}
+}
+
+// TestDoContainsPanics: a panicking job becomes the error at its index —
+// carrying the panic value and the stack — instead of killing the
+// process, and the lowest-index error still wins (a later plain error
+// does not mask the panic).
+func TestDoContainsPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var ran atomic.Int32
+			err := Do(workers, 8, func(i int) error {
+				ran.Add(1)
+				switch i {
+				case 3:
+					panic("boom at 3")
+				case 5:
+					return fmt.Errorf("plain error at 5")
+				}
+				return nil
+			})
+			if err == nil {
+				t.Fatal("Do swallowed the panic")
+			}
+			msg := err.Error()
+			for _, want := range []string{"job 3 panicked", "boom at 3", "sweep_test.go"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("error lacks %q:\n%s", want, msg)
+				}
+			}
+			want := int32(8) // the pool finishes every job
+			if workers == 1 {
+				want = 4 // the serial loop stops at the first failure
+			}
+			if got := ran.Load(); got != want {
+				t.Errorf("%d jobs ran, want %d", got, want)
+			}
+		})
 	}
 }
