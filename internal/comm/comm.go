@@ -100,27 +100,33 @@ type Group struct {
 // threshold of the collective, and each flushed group is costed by the
 // caller's collective model.
 func mergeGroups(sizes []unit.Bytes, threshold unit.Bytes, cost func(unit.Bytes) unit.Seconds) []Group {
+	// Groups are consecutive index runs, so every group's Blocks is a
+	// window of one shared index slice.
+	idx := make([]int, len(sizes))
 	var out []Group
 	cur := Group{}
-	flush := func() {
-		if len(cur.Blocks) == 0 {
+	start := 0
+	flush := func(end int) {
+		if end == start {
 			return
 		}
+		cur.Blocks = idx[start:end:end]
 		cur.Time = cost(cur.Bytes)
 		out = append(out, cur)
 		cur = Group{}
+		start = end
 	}
 	for i, s := range sizes {
 		if s < 0 {
 			panic(fmt.Sprintf("comm: negative block size %d", s))
 		}
-		cur.Blocks = append(cur.Blocks, i)
+		idx[i] = i
 		cur.Bytes += s
 		if cur.Bytes >= threshold {
-			flush()
+			flush(i + 1)
 		}
 	}
-	flush()
+	flush(len(sizes))
 	return out
 }
 

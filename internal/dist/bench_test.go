@@ -5,6 +5,7 @@ import (
 
 	"karma/internal/hw"
 	"karma/internal/model"
+	"karma/internal/plan"
 	"karma/internal/tensor"
 )
 
@@ -24,7 +25,7 @@ func BenchmarkTimelineBreakdown(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := replicaPlan(s, cl, gpus, KARMAOptions{})
+	pl, err := refReplicaPlan(s, cl, gpus, KARMAOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,9 +33,55 @@ func BenchmarkTimelineBreakdown(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	kind := func(i int) plan.Kind { return c.PlanOps[i].Kind }
+	var buf breakdownBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		timelineBreakdown(c, tl)
+		timelineBreakdown(c.Ops, kind, tl, &buf)
 	}
+}
+
+// BenchmarkHybridIter times one planned MP+DP iteration past the shared
+// setup: the Fig. 8 Megatron-LM 8.3B mp+dp-opt cell at 512 GPUs (MP=8,
+// batch 4, checkpointed, phased exchange). /lower lowers and compiles
+// the full plan per call, the path the recording evaluator takes;
+// /patched is the sweep path, which patches the grid point's durations
+// into its shape's compiled template. Both simulate and attribute.
+func BenchmarkHybridIter(b *testing.B) {
+	cl := hw.ABCI()
+	cfg := model.MegatronConfigs()[3]
+	const mp, gpus = 8, 512
+	o := HybridOptions{Phased: true, Checkpoint: true}
+	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, 4, 1, false, o)
+	if err != nil || bad != nil {
+		b.Fatalf("setup: %v %+v", err, bad)
+	}
+	b.Run("lower", func(b *testing.B) {
+		sc := new(planScratch)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hybridDurations(sc, cfg, p, s, cl, mp, gpus/mp, false, o)
+			pl, err := hybridPlan(sc, s, shard, p, false, o.Phased, &sc.d)
+			lw, err := lowerFresh(sc, pl, err)
+			if err != nil {
+				b.Fatal(err)
+			}
+			//karma:plan-ok ops come from Compile on this scratch
+			tl, err := sc.run.Run(lw.ops, s.Budget)
+			if err != nil {
+				b.Fatal(err)
+			}
+			timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd)
+		}
+	})
+	b.Run("patched", func(b *testing.B) {
+		pe := NewPlanned()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := pe.hybridIter(cfg, shard, p, s, cl, mp, gpus/mp, false, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

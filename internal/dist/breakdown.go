@@ -105,15 +105,33 @@ func coverCatOf(k plan.Kind) (coverCat, bool) {
 	return 0, false
 }
 
+// span is one interval of a simulated timeline.
+type span struct{ start, end unit.Seconds }
+
+// cover is a non-compute op's busy span and its attribution category.
+type cover struct {
+	span
+	cat coverCat
+}
+
+// breakdownBuf is timelineBreakdown's working storage, reused across
+// calls (planScratch holds one).
+type breakdownBuf struct {
+	gaps    []span
+	covers  []cover
+	overlap [][numCoverCats]unit.Seconds
+}
+
 // timelineBreakdown derives the critical-path attribution from one
-// simulated plan. Compute-stream busy time classifies by op kind
+// simulated plan: its ops, the plan kind of each, and its timeline.
+// Compute-stream busy time classifies by op kind
 // (forward/backward, recompute, GPU update); compute-stream idle over
 // [0, Makespan] attributes greedily by what overlapped it, in coverCat
 // priority order, and the residual no stream explains is bubble. The
 // components sum to the makespan exactly by construction — what makes
 // the reconciliation property test meaningful is that the planned and
 // analytic paths must agree through two entirely different derivations.
-func timelineBreakdown(c *plan.Compiled, tl *sim.Timeline) *Breakdown {
+func timelineBreakdown(ops []sim.Op, kindOf func(i int) plan.Kind, tl *sim.Timeline, buf *breakdownBuf) *Breakdown {
 	b := &Breakdown{
 		Busy: StreamBusy{
 			Compute: tl.Busy[sim.Compute],
@@ -123,24 +141,19 @@ func timelineBreakdown(c *plan.Compiled, tl *sim.Timeline) *Breakdown {
 			Network: tl.Busy[sim.Network],
 			NVLink:  tl.Busy[sim.NVLink],
 		},
-		Occupancy: tl.Occupancy(c.Ops),
+		Occupancy: tl.Occupancy(ops),
 	}
 
-	type span struct{ start, end unit.Seconds }
-	type cover struct {
-		span
-		cat coverCat
-	}
 	// Compute-stream gaps over [0, Makespan]. Stream queues are FIFO, so
 	// compute ops run serially in submission order and one pass yields
 	// the classified busy time and the ordered idle gaps.
-	var gaps []span
+	gaps := buf.gaps[:0]
 	cursor := unit.Seconds(0)
-	var covers []cover
-	for i := range c.Ops {
+	covers := buf.covers[:0]
+	for i := range ops {
 		r := tl.Ops[i]
-		kind := c.PlanOps[i].Kind
-		if c.Ops[i].Stream != sim.Compute {
+		kind := kindOf(i)
+		if ops[i].Stream != sim.Compute {
 			if cat, ok := coverCatOf(kind); ok && r.End > r.Start {
 				covers = append(covers, cover{span{r.Start, r.End}, cat})
 			}
@@ -169,7 +182,8 @@ func timelineBreakdown(c *plan.Compiled, tl *sim.Timeline) *Breakdown {
 	// two-pointer sweep (gaps are already ordered) touches only the
 	// intersecting pairs.
 	sort.Slice(covers, func(i, j int) bool { return covers[i].start < covers[j].start })
-	overlap := make([][numCoverCats]unit.Seconds, len(gaps))
+	overlap := resized(buf.overlap, len(gaps))
+	buf.gaps, buf.covers, buf.overlap = gaps, covers, overlap
 	gi := 0
 	for _, cv := range covers {
 		for gi < len(gaps) && gaps[gi].end <= cv.start {

@@ -30,11 +30,13 @@ func SharedCacheStats() CacheStats {
 	return s
 }
 
-// CacheStats reports the planner-backed evaluator's instance cache: the
+// CacheStats reports the planner-backed evaluator's instance caches: the
 // KARMA replica partition searches (the replica profiles they search
-// live in the shared set).
+// live in the shared set) and the compiled plan-shape templates.
 func (p *Planned) CacheStats() CacheStats {
-	return p.schedules.Stats()
+	s := p.schedules.Stats()
+	s.Add(p.templates.Stats())
+	return s
 }
 
 // ---------------------------------------------------------------------------

@@ -53,11 +53,11 @@ func (pe *Planned) Recording() *Planned {
 
 // capture packages what one iteration simulated when pe is recording,
 // and is nil otherwise.
-func (pe *Planned) capture(pl *plan.Plan, c *plan.Compiled, tl *sim.Timeline, budget unit.Bytes) *PlanExport {
+func (pe *Planned) capture(lw lowered, tl *sim.Timeline, budget unit.Bytes) *PlanExport {
 	if pe.rec == nil {
 		return nil
 	}
-	return &PlanExport{Plan: pl, Compiled: c, Timeline: tl, Budget: budget}
+	return &PlanExport{Plan: lw.pl, Compiled: lw.c, Timeline: tl, Budget: budget}
 }
 
 // record logs the plan behind res (ex), or the simulation error that

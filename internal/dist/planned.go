@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -14,7 +15,6 @@ import (
 	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/profiler"
-	"karma/internal/sim"
 	"karma/internal/unit"
 )
 
@@ -33,18 +33,28 @@ import (
 // per evaluator by (profile, planner options). Graphs are interned by
 // the value that builds them (CachedTransformer, CachedModel), so equal
 // configurations share one graph, hence one profile, hence one search:
-// sweeps re-plan each replica shape once per process and re-simulate
-// only the cheap exchange composition per configuration, and a second
-// pass over the same panels re-plans nothing. Note that under ZeROShard
-// the gradient shard (1/gpus) is part of the replica shape — each GPU
-// count genuinely plans a different footprint — so a ZeRO sweep
-// replans per GPU count by design.
+// sweeps re-plan each replica shape once per process, and a second pass
+// over the same panels re-plans nothing. Note that under ZeROShard the
+// gradient shard (1/gpus) is part of the replica shape — each GPU count
+// genuinely plans a different footprint — so a ZeRO sweep replans per
+// GPU count by design.
 //
-// Both caches are singleflight LRUs (internal/memo), so one shared
+// Plans are lowered once per shape too. A plan's structure is fixed by
+// its schedule and a few options (template.go lists them), while the
+// GPU count and the fabric change only the durations of its exchange,
+// gather, MP all-reduce, update and momentum ops. Each Planned keeps
+// the compiled template of every shape it has simulated (at most
+// templateLimit, LRU); a grid point computes just those durations,
+// patches them into its shape's template on a pooled scratch, and
+// simulates. The recording evaluator lowers the full plan instead,
+// because exports need the plan.Plan; pipeline stage plans are lowered
+// per call on the pooled scratch.
+//
+// All three caches are singleflight LRUs (internal/memo), so one shared
 // Planned serves a parallel sweep: concurrent grid points that need the
-// same replica profile or partition search block on one computation
-// instead of duplicating or serializing it, and distinct keys plan in
-// parallel.
+// same replica profile, partition search or template block on one
+// computation instead of duplicating or serializing it, and distinct
+// keys compute in parallel.
 // The hybrid and pipeline shard builds/profiles/schedules come from the
 // process-wide caches both backends share (see hybridSetup).
 //
@@ -63,6 +73,9 @@ import (
 // plan and timeline behind every result it returns (the export path).
 type Planned struct {
 	schedules *memo.Cache[schedKey, planOutcome]
+	// templates holds the compiled template of each plan shape (see
+	// template.go), bounded to templateLimit entries.
+	templates *memo.Cache[shapeKey, *shapeTemplate]
 
 	// observe, when set, receives the wall-clock duration of each
 	// evaluation phase (see Observe). nil on the hot path: no clock reads.
@@ -81,8 +94,10 @@ type Planned struct {
 
 // Observe registers a callback receiving the wall-clock seconds spent in
 // each evaluation phase: "search" (the karma.Plan partition search),
-// "plan_build" (plan lowering and collective injection), and "simulate"
-// (the event simulator). Register before serving evaluations; the
+// "plan_build" (the grid point's op durations, the template lookup — or
+// build — and the patch; a full lowering and compilation when
+// recording, and for pipeline stages), and "simulate" (the event
+// simulator's run alone). Register before serving evaluations; the
 // callback may be invoked concurrently and must synchronize itself.
 // With no observer registered the evaluator never reads the clock.
 func (pe *Planned) Observe(fn func(phase string, seconds float64)) {
@@ -109,7 +124,10 @@ type schedKey struct {
 
 // NewPlanned returns a planner-backed evaluator with empty caches.
 func NewPlanned() *Planned {
-	return &Planned{schedules: memo.New[schedKey, planOutcome](0)}
+	return &Planned{
+		schedules: memo.New[schedKey, planOutcome](0),
+		templates: memo.New[shapeKey, *shapeTemplate](templateLimit),
+	}
 }
 
 // errForcedFallback is returned by the simulation paths under the
@@ -222,23 +240,21 @@ func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o K
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	var pl *plan.Plan
-	pe.timed("plan_build", func() { pl, err = replicaPlan(s, cl, gpus, o) })
+	sc := pe.scratch()
+	defer pe.release(sc)
+	var lw lowered
+	pe.timed("plan_build", func() { lw, err = pe.lowerReplica(sc, s, cl, gpus, o) })
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	var c *plan.Compiled
-	var tl *sim.Timeline
-	pe.timed("simulate", func() {
-		c, tl, err = pl.Simulate(s.Budget)
-	})
+	tl, err := pe.run(sc, lw, s.Budget)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	upd := updateCost(s, cl, o, gs)
-	b := timelineBreakdown(c, tl)
+	b := timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd)
 	b.Update += upd
-	return tl.Makespan + upd, b, pe.capture(pl, c, tl, s.Budget), nil
+	return tl.Makespan + upd, b, pe.capture(lw, tl, s.Budget), nil
 }
 
 // replicaSchedule runs the KARMA replica's partition search at gradient
@@ -255,21 +271,73 @@ func (pe *Planned) replicaSchedule(p *profiler.Profile, gs float64) (*karma.Sche
 	return s, err
 }
 
-// replicaPlan lowers a replica schedule to the plan IR with the A4
-// momentum traffic (under UpdateOnDevice) and the phased gradient
-// exchange injected.
-func replicaPlan(s *karma.Schedule, cl hw.Cluster, gpus int, o KARMAOptions) (*plan.Plan, error) {
-	pl, err := karma.BuildPlan(s)
+// lowerReplica lowers one replica grid point on the scratch: the
+// durations of its exchange phases and momentum traffic, then its
+// shape's template (or, recording, the full plan).
+func (pe *Planned) lowerReplica(sc *planScratch, s *karma.Schedule, cl hw.Cluster, gpus int, o KARMAOptions) (lowered, error) {
+	replicaDurations(sc, s, cl, gpus, o)
+	sc.sig = sc.sig[:0]
+	for _, b := range sc.d.exBlocks {
+		sc.sig = binary.AppendUvarint(sc.sig, uint64(b))
+	}
+	key := shapeKey{s: s, onDevice: o.UpdateOnDevice, sig: string(sc.sig)}
+	return pe.lower(sc, key, func(d *varDurs) (*plan.Plan, error) {
+		return replicaPlan(sc, s, d)
+	})
+}
+
+// replicaDurations fills sc.d with a replica's variable durations: each
+// phased exchange group (comm.PhasedGroups over the per-block gradient
+// payloads in backward completion order) is one GradExchange at the
+// block that completes it, and under UpdateOnDevice each streamed block
+// round-trips its momentum.
+func replicaDurations(sc *planScratch, s *karma.Schedule, cl hw.Cluster, gpus int, o KARMAOptions) {
+	k := len(s.Blocks)
+	d := &sc.d
+	d.ex = resized(d.ex, k)
+	d.exBlocks = d.exBlocks[:0]
+	if gpus > 1 {
+		sc.sizes = resized(sc.sizes, k)
+		for i := 0; i < k; i++ {
+			sc.sizes[i] = s.Blocks[k-1-i].Cost.WeightBytes // completion order
+		}
+		for _, g := range comm.PhasedGroups(sc.sizes, cl, gpus, comm.Pick(gpus)) {
+			last := 0
+			for _, i := range g.Blocks {
+				if i > last {
+					last = i
+				}
+			}
+			blk := k - 1 - last
+			d.exBlocks = append(d.exBlocks, blk)
+			d.ex[blk] = g.Time
+		}
+	}
+	d.mom = nil
+	if o.UpdateOnDevice {
+		sc.mom = resized(sc.mom, k)
+		d.mom = momentumTimes(s, cl, o, gpus, sc.mom)
+	}
+}
+
+// replicaPlan is the replica's emission step: the schedule lowered to
+// the plan IR on the scratch's builder, with the A4 momentum traffic
+// (when d.mom is set) and the phased gradient exchange injected.
+func replicaPlan(sc *planScratch, s *karma.Schedule, d *varDurs) (*plan.Plan, error) {
+	built, err := karma.BuildPlanWith(&sc.bld, s)
 	if err != nil {
 		return nil, err
 	}
-	if o.UpdateOnDevice {
-		addMomentumTraffic(pl, s, cl, o, gpus)
+	// The injector repoints Stages at its arena: inject into a copy of
+	// the header, so the builder's next Reset cannot append into it.
+	pl := *built
+	if d.mom != nil {
+		addMomentumTraffic(sc, &pl, s, d.mom)
 	}
-	if gpus > 1 {
-		injectExchange(pl, s, cl, gpus)
+	if len(d.exBlocks) > 0 {
+		injectExchange(sc, &pl, d)
 	}
-	return pl, nil
+	return &pl, nil
 }
 
 // updateCost returns the weight-update time on the iteration's critical
@@ -296,66 +364,72 @@ func updateCost(s *karma.Schedule, cl hw.Cluster, o KARMAOptions, gs float64) un
 	return t
 }
 
-// addMomentumTraffic models ablation A4 on a planned schedule: forcing
+// momentumTimes models ablation A4 on a planned schedule: forcing
 // streamed blocks to update on the GPU round-trips their momentum
 // buffers over the link, inflating the backward weight refetch and the
-// gradient drain of every streamed block. The buffers are fp32 in both
-// precision regimes (ZeRO partitions momentum like the rest of the
-// optimizer state).
-func addMomentumTraffic(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, o KARMAOptions, gpus int) {
+// gradient drain of every streamed block by the returned per-block time
+// (zero for the other blocks). The buffers are fp32 in both precision
+// regimes (ZeRO partitions momentum like the rest of the optimizer
+// state).
+func momentumTimes(s *karma.Schedule, cl hw.Cluster, o KARMAOptions, gpus int, out []unit.Seconds) []unit.Seconds {
 	swapBW := hw.SwapThroughput(cl.Node)
 	lat := cl.Node.Link.Latency
-	lastIn := map[int]*plan.Op{}
-	lastOut := map[int]*plan.Op{}
-	for si := range pl.Stages {
-		for oi := range pl.Stages[si].Ops {
-			op := &pl.Stages[si].Ops[oi]
-			switch op.Kind {
-			case plan.SwapIn:
-				lastIn[op.Block] = op
-			case plan.SwapOut:
-				lastOut[op.Block] = op
-			}
-		}
-	}
 	for b, blk := range s.Blocks {
-		if blk.Policy == karma.Keep || blk.WBytes == 0 {
+		if !streamedBlock(s, b) {
 			continue
 		}
 		mom := float64(o.Precision.OptimBytes(blk.WBytes))
 		if o.ZeROShard {
 			mom /= float64(gpus)
 		}
-		t := unit.TransferTime(unit.Bytes(mom), swapBW, lat)
-		if op := lastIn[b]; op != nil {
-			op.Duration += t
+		out[b] = unit.TransferTime(unit.Bytes(mom), swapBW, lat)
+	}
+	return out
+}
+
+// addMomentumTraffic adds each streamed block's momentum round trip to
+// its last SwapIn (the backward weight refetch) and its last SwapOut
+// (the gradient drain).
+func addMomentumTraffic(sc *planScratch, pl *plan.Plan, s *karma.Schedule, mom []unit.Seconds) {
+	k := len(s.Blocks)
+	sc.lastIn = resized(sc.lastIn, k)
+	sc.lastOut = resized(sc.lastOut, k)
+	for si := range pl.Stages {
+		for oi := range pl.Stages[si].Ops {
+			op := &pl.Stages[si].Ops[oi]
+			switch op.Kind {
+			case plan.SwapIn:
+				sc.lastIn[op.Block] = op
+			case plan.SwapOut:
+				sc.lastOut[op.Block] = op
+			}
 		}
-		if op := lastOut[b]; op != nil {
-			op.Duration += t
+	}
+	for b := range s.Blocks {
+		if !streamedBlock(s, b) {
+			continue
+		}
+		if op := sc.lastIn[b]; op != nil {
+			op.Duration += mom[b]
+		}
+		if op := sc.lastOut[b]; op != nil {
+			op.Duration += mom[b]
 		}
 	}
 }
 
 // injectExchange appends the phased block-wise gradient exchange to a
-// replica plan: per-block gradient payloads in backward completion order
-// merge into phases (comm.PhasedGroups), and each phase becomes one
-// Network-stream op right after the stage that produces its last
-// gradient — its drain for streamed blocks, its backward pass otherwise
-// (the compiler derives that dependency). The simulator then overlaps
-// the exchange against the backward work still in flight, and only the
-// excess extends the makespan.
-func injectExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, gpus int) {
-	k := len(s.Blocks)
-	backend := comm.Pick(gpus)
-	sizes := make([]unit.Bytes, k)
-	for i := 0; i < k; i++ {
-		sizes[i] = s.Blocks[k-1-i].Cost.WeightBytes // completion order
-	}
-	groups := comm.PhasedGroups(sizes, cl, gpus, backend)
-
+// replica plan: each phase of d.exBlocks becomes one Network-stream op
+// right after the stage that produces its last gradient — its drain for
+// streamed blocks, its backward pass otherwise (the compiler derives
+// that dependency). The simulator then overlaps the exchange against the
+// backward work still in flight, and only the excess extends the
+// makespan.
+func injectExchange(sc *planScratch, pl *plan.Plan, d *varDurs) {
 	// lastStage[b] is the stage after which block b's gradients are
 	// available for exchange.
-	lastStage := make([]int, k)
+	sc.ints = resized(sc.ints, len(d.ex))
+	lastStage := sc.ints
 	for si, st := range pl.Stages {
 		for _, op := range st.Ops {
 			if op.Kind == plan.Bwd || op.Kind == plan.SwapOut {
@@ -369,31 +443,25 @@ func injectExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, gpus int) {
 		after int
 		op    plan.Op
 	}
-	var ins []insertion
-	for _, g := range groups {
-		last := 0
-		for _, i := range g.Blocks {
-			if i > last {
-				last = i
-			}
-		}
-		blk := k - 1 - last
+	ins := make([]insertion, 0, len(d.exBlocks))
+	for _, blk := range d.exBlocks {
 		ins = append(ins, insertion{after: lastStage[blk], op: plan.Op{
-			Kind: plan.GradExchange, Block: blk, Duration: g.Time,
+			Kind: plan.GradExchange, Block: blk, Duration: d.ex[blk],
 		}})
 	}
 	sort.Slice(ins, func(a, b int) bool { return ins[a].after < ins[b].after })
 
-	out := make([]plan.Stage, 0, len(pl.Stages)+len(ins))
+	a := &sc.ex
+	a.reset()
 	next := 0
 	for si, st := range pl.Stages {
-		out = append(out, st)
+		a.keep(st)
 		for next < len(ins) && ins[next].after == si {
-			out = append(out, plan.Stage{Ops: []plan.Op{ins[next].op}})
+			a.one(ins[next].op)
 			next++
 		}
 	}
-	pl.Stages = out
+	pl.Stages = a.stages
 }
 
 // DataParallel implements Evaluator. Conventional data parallelism is

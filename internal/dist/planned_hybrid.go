@@ -1,16 +1,12 @@
 package dist
 
 import (
-	"fmt"
-	"sync"
-
 	"karma/internal/comm"
 	"karma/internal/hw"
 	"karma/internal/karma"
 	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/profiler"
-	"karma/internal/sim"
 	"karma/internal/unit"
 )
 
@@ -60,26 +56,8 @@ func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, 
 	return res, nil
 }
 
-// buildHybridPlan lowers the shard schedule to the plan IR and injects
-// the MP collectives, the data-parallel exchange and the closing update.
-// The arenas back the injectors' rebuilt stage lists.
-func buildHybridPlan(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions, ex, mpArena *stageArena) (*plan.Plan, error) {
-	pl, err := karma.BuildPlan(s)
-	if err != nil {
-		return nil, err
-	}
-	// Exchange first, collectives second: the walk below then queues each
-	// backward's blocking all-reduce ahead of the exchange phase it
-	// unblocks, the priority a real implementation gives the collective
-	// the next layer's compute is stalled on.
-	injectHybridExchange(pl, s, cl, replicas, mp*replicas, zero, o, ex)
-	injectMPCollectives(pl, s, shard, p, cfg, cl, mp, replicas, mpArena)
-	appendHybridUpdate(pl, s, cl, zero, replicas)
-	return pl, nil
-}
-
-// hybridIter lowers the shard schedule to a plan, injects the exchange
-// and the MP collectives, and simulates one iteration. The breakdown
+// hybridIter lowers the shard schedule with the exchange and the MP
+// collectives injected, and simulates one iteration. The breakdown
 // derives from the simulated timeline; the update is a scheduled op
 // here, so no supplement is needed and the components sum to the
 // makespan by construction. A recording evaluator also gets the
@@ -88,55 +66,97 @@ func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p
 	if pe.failSim {
 		return 0, nil, nil, errForcedFallback
 	}
-	var sc *hybridScratch
-	if pe.rec != nil {
-		sc = new(hybridScratch) // a recorded plan outlives the call
-	} else {
-		sc = hybridScratchPool.Get().(*hybridScratch)
-		defer hybridScratchPool.Put(sc)
-	}
-	var pl *plan.Plan
+	sc := pe.scratch()
+	defer pe.release(sc)
+	var lw lowered
 	var err error
 	pe.timed("plan_build", func() {
-		pl, err = buildHybridPlan(cfg, shard, p, s, cl, mp, replicas, zero, o, &sc.ex, &sc.mp)
+		lw, err = pe.lowerHybrid(sc, cfg, shard, p, s, cl, mp, replicas, zero, o)
 	})
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	// Compile and run on the scratch's long-lived compiler and simulator
-	// (exactly what pl.Simulate does on fresh ones, error strings
-	// included) so the per-configuration evaluation stays allocation-lean.
-	var c *plan.Compiled
-	var tl *sim.Timeline
-	pe.timed("simulate", func() {
-		c, err = sc.comp.Compile(pl)
-		if err != nil {
-			return
-		}
-		//karma:plan-ok ops come from Compile on this same plan; the pooled Runner just skips Simulate's per-call allocations
-		if tl, err = sc.run.Run(c.Ops, s.Budget); err != nil {
-			err = fmt.Errorf("plan %s: %w", pl.Name, err)
-		}
-	})
+	tl, err := pe.run(sc, lw, s.Budget)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return tl.Makespan, timelineBreakdown(c, tl), pe.capture(pl, c, tl, s.Budget), nil
+	return tl.Makespan, timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd), pe.capture(lw, tl, s.Budget), nil
 }
 
-// hybridScratch is the reusable evaluation state of one planned-hybrid
-// simulation: the stage arenas the injectors rebuild into plus the
-// compiler and simulator. Pooled because the sweep engine evaluates
-// configurations from several workers; reuse never changes results, it
-// only skips re-growing the buffers.
-type hybridScratch struct {
-	comp plan.Compiler
-	run  sim.Runner
-	ex   stageArena
-	mp   stageArena
+// lowerHybrid lowers one MP+DP or ZeRO grid point on the scratch: the
+// durations of its exchange, gather, MP collectives and update, then its
+// shape's template (or, recording, the full plan).
+func (pe *Planned) lowerHybrid(sc *planScratch, cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) (lowered, error) {
+	hybridDurations(sc, cfg, p, s, cl, mp, replicas, zero, o)
+	d := &sc.d
+	sc.sig = sc.sig[:0]
+	for b := range s.Blocks {
+		var bits byte
+		if d.ex[b] > 0 {
+			bits |= 1
+		}
+		if d.ag[b] > 0 {
+			bits |= 2
+		}
+		sc.sig = append(sc.sig, bits)
+	}
+	key := shapeKey{s: s, shard: shard, mp: mp, zero: zero, phased: o.Phased}
+	if d.perAR > 0 {
+		key.mpKind = d.mpKind
+		sc.sig = append(sc.sig, 1)
+	} else {
+		sc.sig = append(sc.sig, 0)
+	}
+	key.sig = string(sc.sig)
+	return pe.lower(sc, key, func(d *varDurs) (*plan.Plan, error) {
+		return hybridPlan(sc, s, shard, p, zero, o.Phased, d)
+	})
 }
 
-var hybridScratchPool = sync.Pool{New: func() any { return new(hybridScratch) }}
+// hybridDurations fills sc.d with a hybrid grid point's variable
+// durations: the data-parallel exchange across the shard's replicas
+// (hybridExchangeTimes), one blocking MP all-reduce over the MP group —
+// packed inside one node it collects over NVLink (MPAllReduceLocal) and
+// leaves the network stream to the exchange, spanning nodes it contends
+// with it (MPAllReduce) — and the closing update.
+func hybridDurations(sc *planScratch, cfg model.TransformerConfig, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) {
+	k := len(s.Blocks)
+	d := &sc.d
+	d.ex = resized(d.ex, k)
+	d.ag = resized(d.ag, k)
+	d.exBlocks = d.exBlocks[:0]
+	d.mom = nil
+	hybridExchangeTimes(sc, s, cl, replicas, mp*replicas, zero, o)
+	d.perAR, d.mpKind = 0, plan.MPAllReduce
+	if mp > 1 {
+		d.perAR = comm.HierarchicalAllReduce(mpARPayload(cfg, p), cl, mp, comm.Pick(mp*replicas))
+		if mp <= cl.Node.Devices {
+			d.mpKind = plan.MPAllReduceLocal
+		}
+	}
+	d.update = hybridUpdateTime(s, cl, zero, replicas)
+}
+
+// hybridPlan is the hybrid's emission step: the shard schedule lowered
+// to the plan IR on the scratch's builder, with the data-parallel
+// exchange, the MP collectives and the closing update injected.
+func hybridPlan(sc *planScratch, s *karma.Schedule, shard *model.Shard, p *profiler.Profile, zero, phased bool, d *varDurs) (*plan.Plan, error) {
+	built, err := karma.BuildPlanWith(&sc.bld, s)
+	if err != nil {
+		return nil, err
+	}
+	// The injectors repoint Stages at their arenas: inject into a copy of
+	// the header, so the builder's next Reset cannot append into them.
+	pl := *built
+	// Exchange first, collectives second: the walk below then queues each
+	// backward's blocking all-reduce ahead of the exchange phase it
+	// unblocks, the priority a real implementation gives the collective
+	// the next layer's compute is stalled on.
+	injectHybridExchange(sc, &pl, s, d, !zero && !phased)
+	injectMPCollectives(sc, &pl, s, shard, p, d)
+	appendHybridUpdate(&pl, s, d)
+	return &pl, nil
+}
 
 // stageArena backs one injector's rebuilt stage list with two flat
 // slices, so a steady-state rebuild allocates nothing once grown. Ops of
@@ -172,27 +192,14 @@ func (a *stageArena) one(op plan.Op) {
 // backward, where the input-gradient collective launches after the
 // dgrad half of the backward pass and overlaps the wgrad half — the
 // standard Megatron-LM overlap — before the previous block's backward
-// may start. MP groups packed inside one node collect over NVLink
-// (plan.MPAllReduceLocal) and leave the network stream to the exchange;
-// groups spanning nodes contend with it (plan.MPAllReduce).
-func injectMPCollectives(pl *plan.Plan, s *karma.Schedule, shard *model.Shard, p *profiler.Profile, cfg model.TransformerConfig, cl hw.Cluster, mp, replicas int, arena *stageArena) {
-	if mp <= 1 {
+// may start. Each op carries its collective count times d.perAR.
+func injectMPCollectives(sc *planScratch, pl *plan.Plan, s *karma.Schedule, shard *model.Shard, p *profiler.Profile, d *varDurs) {
+	if d.perAR <= 0 {
 		return
 	}
-	backend := comm.Pick(mp * replicas)
-	perAR := comm.HierarchicalAllReduce(mpARPayload(cfg, p), cl, mp, backend)
-	if perAR <= 0 {
-		return
-	}
-	kind := plan.MPAllReduce
-	if mp <= cl.Node.Devices {
-		kind = plan.MPAllReduceLocal
-	}
+	arena := &sc.mp
 	ar := func(block, n int) {
-		arena.one(plan.Op{
-			Kind: kind, Block: block,
-			Duration: unit.Seconds(float64(n) * float64(perAR)),
-		})
+		arena.one(plan.Op{Kind: d.mpKind, Block: block, Duration: arTime(n, d.perAR)})
 	}
 	fwdAR, bwdAR := arCounts(shard, p)
 	arena.reset()
@@ -250,18 +257,19 @@ func firstWeightedBlock(s *karma.Schedule) int {
 	return 0
 }
 
-// injectHybridExchange adds the data-parallel gradient exchange across
-// the shard's replicas. Bulk mode appends one ring collective after the
-// whole backward pass; phased mode groups per-block payloads in backward
-// completion order (comm.RingPhasedGroupsOver) and launches each phase
-// right after the backward that completes it. Under ZeRO each phase is the
+// hybridExchangeTimes sets the data-parallel gradient exchange across
+// the shard's replicas in sc.d. Bulk mode is one ring collective after
+// the whole backward pass, on the first weighted block (so the update
+// op's GradExchange dependency finds it); phased mode groups per-block
+// payloads in backward completion order (comm.RingPhasedGroupsOver) and
+// times each block's share of its phase. Under ZeRO each phase is the
 // reduce-scatter half, and the matching parameter all-gather half
-// prefetches ahead of the forward pass that consumes it (steady state),
-// filling the network gaps between the blocking forward collectives.
-func injectHybridExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, replicas, gpus int, zero bool, o HybridOptions, arena *stageArena) {
+// prefetches ahead of the forward pass that consumes it (steady state).
+func hybridExchangeTimes(sc *planScratch, s *karma.Schedule, cl hw.Cluster, replicas, gpus int, zero bool, o HybridOptions) {
 	if replicas <= 1 {
 		return
 	}
+	d := &sc.d
 	backend := comm.Pick(gpus)
 	ring := shardEngine(cl)
 	k := len(s.Blocks)
@@ -272,11 +280,7 @@ func injectHybridExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, repli
 			total += b.Cost.WeightBytes
 		}
 		if t := comm.RingAllReduceOver(ring, total, replicas, backend); t > 0 {
-			// Attached to the first weighted block so the update op's
-			// GradExchange dependency (appendHybridUpdate) finds it.
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-				Kind: plan.GradExchange, Block: firstWeightedBlock(s), Duration: t,
-			}}})
+			d.ex[firstWeightedBlock(s)] = t
 		}
 		return
 	}
@@ -286,8 +290,8 @@ func injectHybridExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, repli
 	// block carries its byte-share of the group's time. Spreading the
 	// phases this way lets the blocking MP all-reduces slot between them
 	// on the network FIFO instead of stalling behind a monolithic phase.
-	spread := func(sizes []unit.Bytes, half bool) []unit.Seconds {
-		out := make([]unit.Seconds, len(sizes))
+	// out(i) is the time slot of the i-th size.
+	spread := func(sizes []unit.Bytes, half bool, out func(i int) *unit.Seconds) {
 		for _, g := range comm.RingPhasedGroupsOver(ring, sizes, replicas, backend) {
 			t := g.Time
 			if half {
@@ -295,43 +299,53 @@ func injectHybridExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, repli
 			}
 			for _, i := range g.Blocks {
 				if g.Bytes > 0 && sizes[i] > 0 {
-					out[i] += unit.Seconds(float64(t) * float64(sizes[i]) / float64(g.Bytes))
+					*out(i) += unit.Seconds(float64(t) * float64(sizes[i]) / float64(g.Bytes))
 				}
 			}
 		}
-		return out
 	}
-	sizes := make([]unit.Bytes, k)
+	sc.sizes = resized(sc.sizes, k)
 	for i := 0; i < k; i++ {
-		sizes[i] = s.Blocks[k-1-i].Cost.WeightBytes // completion order
+		sc.sizes[i] = s.Blocks[k-1-i].Cost.WeightBytes // completion order
 	}
-	exAfter := make([]unit.Seconds, k)
-	for i, t := range spread(sizes, zero) {
-		exAfter[k-1-i] = t
-	}
-	agBefore := make([]unit.Seconds, k)
+	spread(sc.sizes, zero, func(i int) *unit.Seconds { return &d.ex[k-1-i] })
 	if zero {
-		fwdSizes := make([]unit.Bytes, k)
 		for i := 0; i < k; i++ {
-			fwdSizes[i] = s.Blocks[i].Cost.WeightBytes
+			sc.sizes[i] = s.Blocks[i].Cost.WeightBytes
 		}
-		agBefore = spread(fwdSizes, true)
+		spread(sc.sizes, true, func(i int) *unit.Seconds { return &d.ag[i] })
 	}
+}
 
+// injectHybridExchange emits the exchange d holds: bulk, one GradExchange
+// stage appended after the backward pass; phased, each block's
+// GradExchange right after the backward that completes it and its ZeRO
+// ParamGather right before the forward that consumes it, filling the
+// network gaps between the blocking forward collectives.
+func injectHybridExchange(sc *planScratch, pl *plan.Plan, s *karma.Schedule, d *varDurs, bulk bool) {
+	if bulk {
+		if fw := firstWeightedBlock(s); d.ex[fw] > 0 {
+			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
+				Kind: plan.GradExchange, Block: fw, Duration: d.ex[fw],
+			}}})
+		}
+		return
+	}
+	arena := &sc.ex
 	arena.reset()
 	for _, st := range pl.Stages {
 		for _, op := range st.Ops {
-			if op.Kind == plan.Fwd && agBefore[op.Block] > 0 {
+			if op.Kind == plan.Fwd && d.ag[op.Block] > 0 {
 				arena.one(plan.Op{
-					Kind: plan.ParamGather, Block: op.Block, Duration: agBefore[op.Block],
+					Kind: plan.ParamGather, Block: op.Block, Duration: d.ag[op.Block],
 				})
 			}
 		}
 		arena.keep(st)
 		for _, op := range st.Ops {
-			if op.Kind == plan.Bwd && exAfter[op.Block] > 0 {
+			if op.Kind == plan.Bwd && d.ex[op.Block] > 0 {
 				arena.one(plan.Op{
-					Kind: plan.GradExchange, Block: op.Block, Duration: exAfter[op.Block],
+					Kind: plan.GradExchange, Block: op.Block, Duration: d.ex[op.Block],
 				})
 			}
 		}
@@ -339,13 +353,10 @@ func injectHybridExchange(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, repli
 	pl.Stages = arena.stages
 }
 
-// appendHybridUpdate closes the iteration with the device-side optimizer
-// step: it is attached to the first weighted block — whose exchange
-// phase drains last — so the compiler's GradExchange dependency makes it
-// wait for the full exchange before serializing on the compute stream.
-// Under ZeRO every replica updates only its 1/replicas optimizer
-// partition.
-func appendHybridUpdate(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, zero bool, replicas int) {
+// hybridUpdateTime is the device-side optimizer step that closes the
+// iteration. Under ZeRO every replica updates only its 1/replicas
+// optimizer partition.
+func hybridUpdateTime(s *karma.Schedule, cl hw.Cluster, zero bool, replicas int) unit.Seconds {
 	var updF float64
 	for _, b := range s.Blocks {
 		updF += float64(b.Cost.UpdateFLOPs)
@@ -353,8 +364,15 @@ func appendHybridUpdate(pl *plan.Plan, s *karma.Schedule, cl hw.Cluster, zero bo
 	if zero {
 		updF /= float64(replicas)
 	}
+	return unit.ComputeTime(unit.FLOPs(updF), cl.Node.Device.SustainedFLOPS())
+}
+
+// appendHybridUpdate closes the iteration with the update op: it is
+// attached to the first weighted block — whose exchange phase drains
+// last — so the compiler's GradExchange dependency makes it wait for the
+// full exchange before serializing on the compute stream.
+func appendHybridUpdate(pl *plan.Plan, s *karma.Schedule, d *varDurs) {
 	pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-		Kind: plan.UpdateGPU, Block: firstWeightedBlock(s),
-		Duration: unit.ComputeTime(unit.FLOPs(updF), cl.Node.Device.SustainedFLOPS()),
+		Kind: plan.UpdateGPU, Block: firstWeightedBlock(s), Duration: d.update,
 	}}})
 }

@@ -7,7 +7,6 @@ import (
 	"karma/internal/hw"
 	"karma/internal/model"
 	"karma/internal/plan"
-	"karma/internal/sim"
 	"karma/internal/unit"
 )
 
@@ -73,17 +72,18 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 
 	sb, _ := bottleneckStage(sts, wire)
 	st := sts[sb]
-	var pl *plan.Plan
-	pe.timed("plan_build", func() {
-		pl = buildStagePlan(st, micro, wire, local, sb, len(sts))
-	})
-	var cp *plan.Compiled
-	var tl *sim.Timeline
+	sc := pe.scratch()
+	defer pe.release(sc)
+	var lw lowered
 	var err error
-	budget := pipelineBudget(st, cl, o)
-	pe.timed("simulate", func() {
-		cp, tl, err = pl.Simulate(budget)
+	pe.timed("plan_build", func() {
+		lw, err = lowerFresh(sc, buildStagePlan(&sc.bld, st, micro, wire, local, sb, len(sts)), nil)
 	})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	budget := pipelineBudget(st, cl, o)
+	tl, err := pe.run(sc, lw, budget)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -107,15 +107,16 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 		}
 	}
 	iter := tl.Makespan + supplement
-	b := timelineBreakdown(cp, tl)
+	b := timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd)
 	b.Bubble += bubble
 	b.ExchangeStall += c.exchangeStall
 	b.Update += c.update
-	return iter, b.withOccupancy(iter), pe.capture(pl, cp, tl, budget), nil
+	return iter, b.withOccupancy(iter), pe.capture(lw, tl, budget), nil
 }
 
 // buildStagePlan lowers one stage's GPipe micro-batch loop to the plan
-// IR. Blocks are micro-batches. Forward fill: each micro-batch's input
+// IR on bld (the plan aliases it until its next Reset). Blocks are
+// micro-batches. Forward fill: each micro-batch's input
 // boundary arrives (Recv, overlapped with the previous micro-batch's
 // compute), its forward runs (allocating the boundary plus — resident
 // regime — its stored activations; a checkpointed stage drops them
@@ -127,7 +128,7 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 // Wire ops carry no memory (transfer buffers live in the headroom, like
 // every collective op); the boundary tensor itself is charged to the
 // forward compute that retains it.
-func buildStagePlan(st pipeStage, micro int, wire func(unit.Bytes) unit.Seconds, local bool, sb, stages int) *plan.Plan {
+func buildStagePlan(bld *plan.Builder, st pipeStage, micro int, wire func(unit.Bytes) unit.Seconds, local bool, sb, stages int) *plan.Plan {
 	sendK, recvK := plan.Send, plan.Recv
 	if local {
 		sendK, recvK = plan.SendLocal, plan.RecvLocal
@@ -136,11 +137,9 @@ func buildStagePlan(st pipeStage, micro int, wire func(unit.Bytes) unit.Seconds,
 	first := sb == 0
 	last := sb == stages-1
 
-	pl := &plan.Plan{Name: fmt.Sprintf("pipeline/stage%d", sb), NumBlocks: micro}
+	bld.Reset(fmt.Sprintf("pipeline/stage%d", sb), micro)
 	if !first && tIn > 0 {
-		pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-			Kind: recvK, Block: 0, Duration: tIn,
-		}}})
+		bld.Stage(plan.Op{Kind: recvK, Block: 0, Duration: tIn})
 	}
 	for m := 0; m < micro; m++ {
 		fwd := plan.Op{
@@ -152,46 +151,41 @@ func buildStagePlan(st pipeStage, micro int, wire func(unit.Bytes) unit.Seconds,
 			// micro-batch's forward; only the boundary input stays.
 			fwd.Free = st.ActBytes
 		}
-		stg := plan.Stage{Ops: []plan.Op{fwd}}
+		bld.BeginStage()
+		bld.Add(fwd)
 		if m+1 < micro && !first && tIn > 0 {
 			// Prefetch the next micro-batch's boundary under this forward.
-			stg.Ops = append(stg.Ops, plan.Op{Kind: recvK, Block: m + 1, Duration: tIn})
+			bld.Add(plan.Op{Kind: recvK, Block: m + 1, Duration: tIn})
 		}
-		pl.Stages = append(pl.Stages, stg)
+		bld.EndStage()
 		if !last && tOut > 0 {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-				Kind: sendK, Block: m, Duration: tOut,
-			}}})
+			bld.Stage(plan.Op{Kind: sendK, Block: m, Duration: tOut})
 		}
 	}
 	for m := micro - 1; m >= 0; m-- {
 		if m == micro-1 && !last && tOut > 0 {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-				Kind: recvK, Block: m, Duration: tOut,
-			}}})
+			bld.Stage(plan.Op{Kind: recvK, Block: m, Duration: tOut})
 		}
 		if st.Ckpt {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
+			bld.Stage(plan.Op{
 				Kind: plan.Recompute, Block: m, Duration: st.Recompute,
 				Alloc: st.ActBytes,
-			}}})
+			})
 		}
-		bwd := plan.Op{
+		bld.BeginStage()
+		bld.Add(plan.Op{
 			Kind: plan.Bwd, Block: m, Duration: st.Bwd,
 			Free: st.InBytes + st.ActBytes,
-		}
-		stg := plan.Stage{Ops: []plan.Op{bwd}}
+		})
 		if m > 0 && !last && tOut > 0 {
 			// The previous micro-batch's gradient arrives under this
 			// backward.
-			stg.Ops = append(stg.Ops, plan.Op{Kind: recvK, Block: m - 1, Duration: tOut})
+			bld.Add(plan.Op{Kind: recvK, Block: m - 1, Duration: tOut})
 		}
-		pl.Stages = append(pl.Stages, stg)
+		bld.EndStage()
 		if !first && tIn > 0 {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-				Kind: sendK, Block: m, Duration: tIn,
-			}}})
+			bld.Stage(plan.Op{Kind: sendK, Block: m, Duration: tIn})
 		}
 	}
-	return pl
+	return bld.Plan()
 }

@@ -13,9 +13,12 @@ import (
 // TestWarmPassAddsNoMisses: panel builders intern their graphs
 // (dist.CachedTransformer, dist.CachedModel), so regenerating the same
 // panels a second time with one planned evaluator re-profiles,
-// re-partitions and re-searches nothing. A panel that built a fresh
-// graph would miss every graph-keyed cache again on the second pass.
-// Not parallel: the shared caches are process-wide.
+// re-partitions and re-searches nothing, and — the evaluator's
+// CacheStats count its plan-shape templates too — re-lowers no plan
+// shape: the templates built on the first pass all stay resident. A
+// panel that built a fresh graph would miss every graph-keyed cache
+// again on the second pass. Not parallel: the shared caches are
+// process-wide.
 func TestWarmPassAddsNoMisses(t *testing.T) {
 	cl := hw.ABCI()
 	pe := dist.NewPlanned()
@@ -35,8 +38,8 @@ func TestWarmPassAddsNoMisses(t *testing.T) {
 	pass()
 	planned, shared := pe.CacheStats(), dist.SharedCacheStats()
 	pass()
-	if got := pe.CacheStats(); got.Misses != planned.Misses || got.Hits <= planned.Hits {
-		t.Errorf("planned cache: %+v after the warm pass, %+v after the cold one; want more hits and no new miss", got, planned)
+	if got := pe.CacheStats(); got.Misses != planned.Misses || got.Evictions != planned.Evictions || got.Hits <= planned.Hits {
+		t.Errorf("planned caches: %+v after the warm pass, %+v after the cold one; want more hits, no new miss and no eviction", got, planned)
 	}
 	if got := dist.SharedCacheStats(); got.Misses != shared.Misses || got.Hits <= shared.Hits {
 		t.Errorf("shared caches: %+v after the warm pass, %+v after the cold one; want more hits and no new miss", got, shared)

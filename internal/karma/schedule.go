@@ -30,7 +30,14 @@ import (
 // the backward swap-in, and drain their gradients to far memory after
 // backward — the Fig. 3 pipeline of one KARMA-DP replica.
 func BuildPlan(s *Schedule) (*plan.Plan, error) {
-	return buildPlan(new(plan.Builder), "karma/"+s.Profile.Graph.Name(), s)
+	return BuildPlanWith(new(plan.Builder), s)
+}
+
+// BuildPlanWith is BuildPlan into a caller-held builder, so lowering many
+// schedules reuses one set of arenas. The returned plan aliases the
+// builder and is invalidated by its next Reset.
+func BuildPlanWith(bld *plan.Builder, s *Schedule) (*plan.Plan, error) {
+	return buildPlan(bld, "karma/"+s.Profile.Graph.Name(), s)
 }
 
 // buildPlan lowers s into the builder's arenas (see BuildPlan for the

@@ -6,9 +6,14 @@
 package memo
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
+
+// ErrPanicked wraps the error the waiters of a flight whose computation
+// panicked receive.
+var ErrPanicked = errors.New("memo: computation panicked")
 
 // defaultLimit is the entry bound a zero Cache gets. It is set far above
 // the distinct-key count of any batch sweep (a full Fig. 8 + Table IV/V
@@ -127,7 +132,7 @@ func (c *Cache[K, V]) Do(k K, fn func() (V, error)) (V, error) {
 		// inside the deferred call, so its trace keeps fn's frames.
 		defer func() {
 			if r := recover(); r != nil {
-				e.err = fmt.Errorf("memo: computation panicked: %v", r)
+				e.err = fmt.Errorf("%w: %v", ErrPanicked, r)
 				c.forget(k, e)
 				panic(r)
 			}

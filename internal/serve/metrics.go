@@ -25,6 +25,8 @@ type metrics struct {
 	inFlight int
 	hist     map[string]*histogram
 	phases   map[string]*phaseStat
+	// panics counts evaluations whose panic was contained (computeRaw).
+	panics uint64
 }
 
 // phaseStat accumulates one evaluation phase's wall-clock time (the
@@ -68,6 +70,13 @@ func (m *metrics) evalPhase(phase string, seconds float64) {
 	p.count++
 }
 
+// panicked counts one contained evaluation panic.
+func (m *metrics) panicked() {
+	m.mu.Lock()
+	m.panics++
+	m.mu.Unlock()
+}
+
 func (m *metrics) requestStart() {
 	m.mu.Lock()
 	m.inFlight++
@@ -108,7 +117,8 @@ type buildInfo struct {
 }
 
 // render writes the Prometheus text exposition: the build-info gauge,
-// request counters, the in-flight gauge, per-endpoint latency
+// request counters, the in-flight gauge, the contained-panic counter,
+// per-endpoint latency
 // histograms, the evaluation-phase timing series, and one block of
 // hit/miss/eviction/entry series per cache layer (response cache,
 // shared evaluator memos, planner instance memos).
@@ -145,6 +155,7 @@ func (m *metrics) render(sb *strings.Builder, bi buildInfo, caches []cacheStats)
 	}
 	sort.Strings(phaseNames)
 	inFlight := m.inFlight
+	panics := m.panics
 	m.mu.Unlock()
 
 	fmt.Fprintf(sb, "# HELP karma_build_info Build metadata of the serving binary, as labels.\n")
@@ -159,6 +170,10 @@ func (m *metrics) render(sb *strings.Builder, bi buildInfo, caches []cacheStats)
 	fmt.Fprintf(sb, "# HELP karma_serve_in_flight Requests currently being served.\n")
 	fmt.Fprintf(sb, "# TYPE karma_serve_in_flight gauge\n")
 	fmt.Fprintf(sb, "karma_serve_in_flight %d\n", inFlight)
+
+	fmt.Fprintf(sb, "# HELP karma_serve_panics_total Evaluations that panicked; each answered 500 and left nothing cached.\n")
+	fmt.Fprintf(sb, "# TYPE karma_serve_panics_total counter\n")
+	fmt.Fprintf(sb, "karma_serve_panics_total %d\n", panics)
 
 	fmt.Fprintf(sb, "# HELP karma_serve_request_seconds Request latency, by endpoint.\n")
 	fmt.Fprintf(sb, "# TYPE karma_serve_request_seconds histogram\n")

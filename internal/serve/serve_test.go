@@ -538,3 +538,36 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("Shutdown did not return after the last request drained")
 	}
 }
+
+// TestEvaluatePanicContained: a configuration whose evaluation panics
+// (a batch large enough to overflow a transfer size) answers 500 with a
+// JSON error instead of killing the daemon, is not cached — a retry
+// evaluates, and panics, again — and is counted on /stats; the next
+// valid request is served normally.
+func TestEvaluatePanicContained(t *testing.T) {
+	s := newTestServer(t, Config{})
+	probe := `{"family":"zero","model":"megatron-2.5B","gpus":8,"batch":4000000000000,"mp":2}`
+	for i := 1; i <= 2; i++ {
+		code, body := post(t, s, "/v1/evaluate", probe)
+		if code != http.StatusInternalServerError {
+			t.Fatalf("probe %d = %d: %s, want 500", i, code, body)
+		}
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "panicked") {
+			t.Errorf("probe %d body %s: want a JSON error naming the panic (%v)", i, body, err)
+		}
+	}
+	if code, body := post(t, s, "/v1/evaluate", `{"family":"karma-dp","model":"megatron-0.3B","gpus":128,"batch":128}`); code != http.StatusOK {
+		t.Fatalf("valid request after the panics = %d: %s", code, body)
+	}
+	_, stats := get(t, s, "/stats")
+	for _, want := range []string{
+		"karma_serve_panics_total 2\n",
+		`karma_serve_cache_misses_total{cache="response"} 3`,
+		`karma_serve_requests_total{endpoint="/v1/evaluate",code="500"} 2`,
+	} {
+		if !strings.Contains(string(stats), want) {
+			t.Errorf("stats missing %q:\n%s", want, stats)
+		}
+	}
+}

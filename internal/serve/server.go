@@ -44,6 +44,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -297,13 +298,28 @@ func (s *Server) compute(ctx context.Context, endpoint, key string, fn func() (a
 // computeRaw is compute for endpoints whose cached body is not the
 // canonical compact-JSON encoding (the Chrome trace is served verbatim
 // as its writer produced it).
+//
+// A panicking evaluation is contained here, at the goroutine that runs
+// it: the request gets 500, the response cache keeps nothing for the
+// key (memo.Cache drops a panicked flight, so a retry recomputes), the
+// panic is logged with its stack and counted in
+// karma_serve_panics_total, and the daemon keeps serving. Requests that
+// shared the panicked flight get 500 too.
 func (s *Server) computeRaw(ctx context.Context, endpoint, key string, fn func() ([]byte, error)) ([]byte, int, error) {
 	type outcome struct {
-		body []byte
-		err  error
+		body     []byte
+		err      error
+		panicked bool
 	}
 	ch := make(chan outcome, 1)
 	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				s.metrics.panicked()
+				s.log.Error("evaluation panicked", "endpoint", endpoint, "panic", r, "stack", string(debug.Stack()))
+				ch <- outcome{err: fmt.Errorf("evaluation panicked: %v", r), panicked: true}
+			}
+		}()
 		body, err := s.cache.Do(key, func() ([]byte, error) {
 			if s.evalHook != nil {
 				s.evalHook(endpoint)
@@ -312,10 +328,13 @@ func (s *Server) computeRaw(ctx context.Context, endpoint, key string, fn func()
 			defer func() { <-s.slots }()
 			return fn()
 		})
-		ch <- outcome{body: body, err: err}
+		ch <- outcome{body: body, err: err, panicked: errors.Is(err, memo.ErrPanicked)}
 	}()
 	select {
 	case out := <-ch:
+		if out.panicked {
+			return nil, http.StatusInternalServerError, out.err
+		}
 		if out.err != nil {
 			return nil, http.StatusUnprocessableEntity, out.err
 		}
