@@ -17,7 +17,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -179,13 +178,4 @@ func parsePatterns(t *testing.T, file string, line int, tail string) []string {
 		t.Fatalf("%s:%d: want comment with no patterns", file, line)
 	}
 	return pats
-}
-
-// Fprint is a debugging helper rendering diagnostics compactly.
-func Fprint(fset *token.FileSet, diags []analysis.Diagnostic) string {
-	var sb strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&sb, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	return sb.String()
 }

@@ -79,9 +79,52 @@ func BenchmarkHybridIter(b *testing.B) {
 		pe := NewPlanned()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := pe.hybridIter(cfg, shard, p, s, cl, mp, gpus/mp, false, o); err != nil {
+			_, _, _, err := pe.simulate(s.Budget, func(sc *planScratch) (lowered, error) {
+				return pe.lowerHybrid(sc, cfg, shard, p, s, cl, mp, gpus/mp, false, o)
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkPlannedEval times one whole planned evaluation through the
+// public Planned methods on a warm evaluator (the searches and templates
+// cached by a first call), per family: /karma-dp is the weight-streaming
+// Megatron-LM 2.5B replica at batch 4 on 512 GPUs, /zero the Turing-NLG
+// ZeRO cell at MP=16 and batch 2 on 512 GPUs, and /pipeline Turing-NLG
+// in 16 stages with 8 micro-batches of 1 on 512 GPUs, all checkpointed
+// where the family allows it. Each sub-benchmark fails unless the
+// result was simulated (Backend "planned"), and /karma-dp unless its
+// replica swaps.
+func BenchmarkPlannedEval(b *testing.B) {
+	cl := hw.ABCI()
+	mega, turing := model.MegatronConfigs()[2], model.TuringNLG()
+	o := HybridOptions{Phased: true, Checkpoint: true}
+	pe := NewPlanned()
+	for _, bc := range []struct {
+		name string
+		eval func() (*Result, error)
+	}{
+		{"karma-dp", func() (*Result, error) {
+			return pe.KARMADataParallel(CachedTransformer(mega), cl, 512, 4, samples, KARMAOptions{})
+		}},
+		{"zero", func() (*Result, error) { return pe.ZeRO(turing, cl, 16, 512, 2, samples, o) }},
+		{"pipeline", func() (*Result, error) { return pe.Pipeline(turing, cl, 16, 512, 8, 8, samples, o) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r, err := bc.eval()
+			if err != nil || r.Backend != "planned" || (bc.name == "karma-dp" && r.Breakdown.Busy.H2D == 0) {
+				b.Fatalf("warm-up: %+v, %v", r, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.eval(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

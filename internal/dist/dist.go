@@ -33,17 +33,23 @@
 //     when fidelity matters (calibration, headline ratios); profiles and
 //     shard builds are cached so sweeps stay tractable.
 //
-// The two backends diverge only in timing fidelity, never on "does it
-// fit": they share one feasibility path (the KARMA precheck,
-// hybridSetup for the MP hybrids, pipelineSetup for the pipeline), so
-// verdicts and Reason strings agree by construction — the capacity-batch
-// searches (capacity.go) walk that precheck instead of costing every
-// batch — and they coincide exactly for fully in-core KARMA replicas.
-// Analytic-vs-Planned iteration times are held to a bounded band by the
-// property tests in hybrid_test.go. The models return a Result rather
-// than an error for capacity problems (undersized clusters, models that
-// cannot be sharded small enough), so experiment sweeps can render
-// infeasible cells; errors are reserved for invalid arguments.
+// Both backends run one evaluation path per family (evalKARMA,
+// DataParallel, evalHybrid, evalPipeline), with a nil *Planned meaning
+// analytic. Each path is the shared precheck (replicaSetup for KARMA-DP
+// and DP, hybridSetup for the MP hybrids, pipelineSetup for the
+// pipeline), the family's closed form, and Planned.finish, which on the
+// planned backend replaces the closed form by the simulated iteration
+// (Planned.simulate) — or keeps it, tagged "analytic", when the
+// simulation fails. So the backends diverge only in timing fidelity,
+// never on "does it fit": verdicts and Reason strings are one
+// computation, the capacity-batch searches (capacity.go) walk that
+// precheck instead of costing every batch, and fully in-core KARMA
+// replicas return the closed form on both. Analytic-vs-Planned
+// iteration times are held to a bounded band by the property tests in
+// property_test.go. The models return a Result rather than an error for
+// capacity problems (undersized clusters, models that cannot be sharded
+// small enough), so experiment sweeps can render infeasible cells;
+// errors are reserved for invalid arguments.
 package dist
 
 import (
@@ -120,33 +126,43 @@ type KARMAOptions struct {
 	Precision tensor.Precision
 }
 
+// shell is what a Result carries besides its timing: the
+// configuration's identity, the epoch its rates derive from, and the
+// checkpointing regime it ran under.
+type shell struct {
+	gpus, global, samples int
+	ckpt                  bool
+}
+
 // infeasible returns a non-viable Result carrying the configuration's
-// identity so tables can still render the row. Like finalize it tags the
-// result "analytic" at construction; evaluator backends re-tag.
-func infeasible(gpus, globalBatch int, format string, args ...any) *Result {
+// identity so tables can still render the row. Like result it tags the
+// result "analytic" at construction; the planned backend re-tags.
+func (sh shell) infeasible(format string, args ...any) *Result {
 	return &Result{
 		Feasible:    false,
 		Reason:      fmt.Sprintf(format, args...),
-		GPUs:        gpus,
-		GlobalBatch: globalBatch,
+		GPUs:        sh.gpus,
+		GlobalBatch: sh.global,
 		Backend:     "analytic",
+		Ckpt:        sh.ckpt,
 	}
 }
 
-// finalize derives the rate and epoch quantities from one iteration
-// time, tagged with the analytic backend the package-level functions
-// implement (the planned evaluator re-tags what it simulates).
-func finalize(iter unit.Seconds, gpus, globalBatch, samples int) *Result {
-	iters := (samples + globalBatch - 1) / globalBatch
+// result derives the rate and epoch quantities from one iteration time
+// and attaches its breakdown, tagged "analytic" (see Planned.finish).
+func (sh shell) result(iter unit.Seconds, bd *Breakdown) *Result {
+	iters := (sh.samples-1)/sh.global + 1
 	return &Result{
 		Feasible:    true,
 		EpochTime:   unit.Seconds(float64(iters) * float64(iter)),
 		IterTime:    iter,
 		IterPerSec:  1 / float64(iter),
-		CostPerf:    float64(gpus) * float64(iter) / float64(globalBatch),
-		GPUs:        gpus,
-		GlobalBatch: globalBatch,
+		CostPerf:    float64(sh.gpus) * float64(iter) / float64(sh.global),
+		GPUs:        sh.gpus,
+		GlobalBatch: sh.global,
 		Backend:     "analytic",
+		Ckpt:        sh.ckpt,
+		Breakdown:   bd,
 	}
 }
 
@@ -157,6 +173,9 @@ func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
 	}
 	if batch <= 0 {
 		return fmt.Errorf("dist: per-replica batch must be positive, got %d", batch)
+	}
+	if batch > math.MaxInt/gpus {
+		return fmt.Errorf("dist: %d GPUs x per-replica batch %d overflows the global batch", gpus, batch)
 	}
 	if samples <= 0 {
 		return fmt.Errorf("dist: sample count must be positive, got %d", samples)
@@ -171,20 +190,6 @@ func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
 func budget(cl hw.Cluster) unit.Bytes {
 	usable := cl.Node.Device.UsableMem()
 	return usable - unit.Bytes(float64(usable)*headroomFrac)
-}
-
-// maxBlockBytes returns the largest single-block working set of the
-// profile — two weight copies, activations, and pinned inputs. A block
-// whose working set exceeds the device budget cannot run under any
-// streaming policy; both backends share this feasibility verdict.
-func maxBlockBytes(p *profiler.Profile) unit.Bytes {
-	var maxBlock unit.Bytes
-	for _, b := range p.Blocks {
-		if work := 2*b.WeightBytes + b.ActBytes + b.PinnedInBytes; work > maxBlock {
-			maxBlock = work
-		}
-	}
-	return maxBlock
 }
 
 // replicaCost is the per-replica iteration cost of KARMA's out-of-core
@@ -205,6 +210,9 @@ type replicaCost struct {
 	// h2d, d2h and hostUpdate are informational busy times (Breakdown's
 	// per-stream view); they do not enter iter().
 	h2d, d2h, hostUpdate unit.Seconds
+	// inCore marks a replica whose weights, gradients and activations
+	// all fit: the closed form is exact, on both backends.
+	inCore bool
 }
 
 func (rc replicaCost) iter() unit.Seconds {
@@ -232,9 +240,9 @@ func (rc replicaCost) breakdown(exTotal, exStall, iter unit.Seconds) *Breakdown 
 }
 
 // karmaReplica evaluates one out-of-core replica at the profile's batch.
-// gpus is the data-parallel width (it sizes ZeRO's shards). A nil result
-// means the configuration cannot run; reason explains it.
-func karmaReplica(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) (*replicaCost, string) {
+// gpus is the data-parallel width (it sizes ZeRO's shards). A non-empty
+// reason means the configuration cannot run, and explains why.
+func karmaReplica(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) (replicaCost, string) {
 	m := budget(cl)
 	weights := p.TotalWeightBytes
 	grads := weights
@@ -245,7 +253,7 @@ func karmaReplica(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) 
 	}
 
 	var fwd, bwd, cheapFwd unit.Seconds
-	var heavyActs unit.Bytes
+	var heavyActs, maxBlock unit.Bytes
 	var updateFLOPs unit.FLOPs
 	for _, b := range p.Blocks {
 		fwd += b.FwdTime
@@ -253,12 +261,16 @@ func karmaReplica(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) 
 		cheapFwd += b.CheapFwdTime
 		heavyActs += b.HeavyActBytes
 		updateFLOPs += b.UpdateFLOPs
+		// A block's working set: two weight copies, activations, and
+		// pinned inputs.
+		maxBlock = max(maxBlock, 2*b.WeightBytes+b.ActBytes+b.PinnedInBytes)
 	}
-	if maxBlock := maxBlockBytes(p); maxBlock > m {
-		return nil, fmt.Sprintf("largest block needs %v of %v device memory", maxBlock, m)
+	if maxBlock > m {
+		// No streaming policy can run a block that does not fit.
+		return replicaCost{}, fmt.Sprintf("largest block needs %v of %v device memory", maxBlock, m)
 	}
 
-	rc := &replicaCost{fwd: fwd, bwd: bwd}
+	rc := replicaCost{fwd: fwd, bwd: bwd}
 	devRate := cl.Node.Device.SustainedFLOPS()
 	updDev := unit.ComputeTime(updateFLOPs, devRate)
 	if o.ZeROShard {
@@ -271,6 +283,7 @@ func karmaReplica(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) 
 		// Fully in-core: KARMA degenerates to conventional data
 		// parallelism with a device-side update.
 		rc.serialUpdate = updDev
+		rc.inCore = true
 		return rc, ""
 	}
 
@@ -335,19 +348,13 @@ func karmaReplica(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) 
 	return rc, ""
 }
 
-// gradExchange returns the per-iteration cost of the phased block-wise
-// gradient exchange: a hierarchical all-reduce of the full gradient
-// payload, overlapped with the backward pass that produces it. With
-// ZeROShard the exchange is a reduce-scatter plus the all-gather of
-// updated parameters — the same ring volume in this cost model.
-func gradExchange(grads unit.Bytes, cl hw.Cluster, gpus int, window unit.Seconds) unit.Seconds {
-	_, stall := gradExchangeTimes(grads, cl, gpus, window)
-	return stall
-}
-
-// gradExchangeTimes returns both the full collective time (the network
-// busy view) and the stall beyond the overlap window (the critical-path
-// view) — same arithmetic as gradExchange.
+// gradExchangeTimes returns the per-iteration cost of the phased
+// block-wise gradient exchange: a hierarchical all-reduce of the full
+// gradient payload, overlapped with the backward pass that produces it.
+// With ZeROShard the exchange is a reduce-scatter plus the all-gather of
+// updated parameters — the same ring volume in this cost model. It
+// returns both the full collective time (the network busy view) and the
+// stall beyond the overlap window (the critical-path view).
 func gradExchangeTimes(grads unit.Bytes, cl hw.Cluster, gpus int, window unit.Seconds) (total, stall unit.Seconds) {
 	if gpus <= 1 {
 		return 0, 0
@@ -360,71 +367,79 @@ func gradExchangeTimes(grads unit.Bytes, cl hw.Cluster, gpus int, window unit.Se
 	return t, t - window
 }
 
+// replicaSetup is the precheck KARMA-DP and DP share: it validates the
+// arguments, rejects clusters too small for gpus, and returns the
+// memoized replica profile at dtype dt with the configuration's shell.
+// A non-nil Result reports an infeasible configuration.
+func replicaSetup(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, dt tensor.DType) (*profiler.Profile, shell, *Result, error) {
+	if g == nil {
+		return nil, shell{}, nil, fmt.Errorf("dist: nil graph")
+	}
+	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
+		return nil, shell{}, nil, err
+	}
+	sh := shell{gpus: gpus, global: gpus * perReplicaBatch, samples: samples}
+	if total := cl.TotalDevices(); gpus > total {
+		return nil, sh, sh.infeasible("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
+	}
+	p, err := replicaProfile(g, cl.Node, perReplicaBatch, dt)
+	return p, sh, nil, err
+}
+
 // KARMADataParallel evaluates KARMA's pure data-parallel training of g:
 // every GPU holds the whole model out-of-core at the given per-replica
 // batch, blocks swap with their weights, gradients exchange per block in
 // phases, and the weight update runs host-side (Fig. 3). The global
 // mini-batch is gpus x perReplicaBatch.
 func KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("dist: nil graph")
-	}
-	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, err
-	}
-	global := gpus * perReplicaBatch
-	if total := cl.TotalDevices(); gpus > total {
-		return infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
-	}
-	p, err := replicaProfile(g, cl.Node, perReplicaBatch, o.Precision.DType())
-	if err != nil {
-		return nil, err
+	return evalKARMA(nil, g, cl, gpus, perReplicaBatch, samples, o)
+}
+
+// evalKARMA is KARMA-DP on either backend (pe == nil: analytic): the
+// shared precheck, the closed-form replica (karmaReplica) plus the
+// overlapped exchange, or the planned replica's partition search and
+// simulated iteration (replicaIter).
+func evalKARMA(pe *Planned, g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
+	p, sh, bad, err := replicaSetup(g, cl, gpus, perReplicaBatch, samples, o.Precision.DType())
+	if err != nil || bad != nil {
+		return pe.stamp(bad), err
 	}
 	rc, reason := karmaReplica(p, cl, gpus, o)
-	if rc == nil {
-		return infeasible(gpus, global, "%s", reason), nil
+	if reason != "" {
+		return pe.stamp(sh.infeasible("%s", reason)), nil
 	}
-	exTotal, exStall := gradExchangeTimes(p.TotalWeightBytes, cl, gpus, rc.bwd)
-	iter := rc.iter() + exStall
-	r := finalize(iter, gpus, global, samples)
-	r.Breakdown = rc.breakdown(exTotal, exStall, iter)
-	return r, nil
+	return pe.finish(sh, rc.inCore, func() (unit.Seconds, *Breakdown) {
+		exTotal, exStall := gradExchangeTimes(p.TotalWeightBytes, cl, gpus, rc.bwd)
+		iter := rc.iter() + exStall
+		return iter, rc.breakdown(exTotal, exStall, iter)
+	}, func() (unit.Seconds, *Breakdown, *PlanExport, error) {
+		return pe.replicaIter(p, cl, gpus, o)
+	}), nil
 }
 
 // DataParallel evaluates conventional in-core data parallelism: gpus
 // replicas at the given batch, gradients all-reduced hierarchically and
 // overlapped with backward, weights updated on the device. Models whose
 // working set exceeds device memory are infeasible — the regime KARMA
-// (and the MP hybrid) exist for.
+// (and the MP hybrid) exist for. Both backends return this closed form:
+// a schedule with no overlap structure has nothing to simulate.
 func DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("dist: nil graph")
-	}
-	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, err
-	}
-	global := gpus * perReplicaBatch
-	if total := cl.TotalDevices(); gpus > total {
-		return infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
-	}
-	p, err := replicaProfile(g, cl.Node, perReplicaBatch, tensor.FP32)
-	if err != nil {
-		return nil, err
+	p, sh, bad, err := replicaSetup(g, cl, gpus, perReplicaBatch, samples, tensor.FP32)
+	if err != nil || bad != nil {
+		return bad, err
 	}
 	if need, have := p.InCoreBytes(), budget(cl); need > have {
-		return infeasible(gpus, global,
+		return sh.infeasible(
 			"batch %d needs %v of %v device memory; use KARMADataParallel", perReplicaBatch, need, have), nil
 	}
 	fwd, bwd, updateFLOPs := p.Totals()
 	upd := unit.ComputeTime(updateFLOPs, cl.Node.Device.SustainedFLOPS())
 	exTotal, exStall := gradExchangeTimes(p.TotalWeightBytes, cl, gpus, bwd)
 	iter := fwd + bwd + upd + exStall
-	r := finalize(iter, gpus, global, samples)
-	r.Breakdown = (&Breakdown{
+	return sh.result(iter, (&Breakdown{
 		Compute:       fwd + bwd,
 		ExchangeStall: exStall,
 		Update:        upd,
 		Busy:          StreamBusy{Compute: fwd + bwd + upd, Network: exTotal},
-	}).withOccupancy(iter)
-	return r, nil
+	}).withOccupancy(iter)), nil
 }

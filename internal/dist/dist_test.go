@@ -90,6 +90,47 @@ func TestKARMAArgumentErrors(t *testing.T) {
 	}
 }
 
+// TestGlobalBatchOverflowRejected: a GPU count whose product with the
+// per-replica batch overflows int is an argument error in every family
+// on both backends, not an infeasible verdict carrying a wrapped-around
+// global batch; the largest product that fits still evaluates.
+func TestGlobalBatchOverflowRejected(t *testing.T) {
+	cl := hw.ABCI()
+	cfg := model.MegatronConfigs()[2]
+	g := CachedTransformer(cfg)
+	const batch = 4
+	for _, ev := range []Evaluator{Analytic{}, NewPlanned()} {
+		for _, gpus := range []int{4_000_000_000_000_000_000, math.MaxInt/batch + 1, math.MaxInt / batch} {
+			overflows := gpus > math.MaxInt/batch
+			for fam, run := range map[string]func() (*Result, error){
+				"karma-dp": func() (*Result, error) {
+					return ev.KARMADataParallel(g, cl, gpus, batch, samples, KARMAOptions{})
+				},
+				"dp": func() (*Result, error) { return ev.DataParallel(g, cl, gpus, batch, samples) },
+				"mp+dp": func() (*Result, error) {
+					return ev.MegatronHybrid(cfg, cl, 1, gpus, batch, samples, HybridOptions{})
+				},
+				"zero": func() (*Result, error) { return ev.ZeRO(cfg, cl, 1, gpus, batch, samples, HybridOptions{}) },
+				"pipeline": func() (*Result, error) {
+					return ev.Pipeline(cfg, cl, 1, gpus, batch, 1, samples, HybridOptions{})
+				},
+			} {
+				r, err := run()
+				if overflows {
+					if err == nil || !strings.Contains(err.Error(), "overflows the global batch") {
+						t.Errorf("%s/%s/%d GPUs: got %+v, %v; want the overflow error", ev.Name(), fam, gpus, r, err)
+					}
+					continue
+				}
+				if err != nil || r.Feasible || r.GlobalBatch != gpus*batch {
+					t.Errorf("%s/%s/%d GPUs: got %+v, %v; want an infeasible verdict with the exact global batch",
+						ev.Name(), fam, gpus, r, err)
+				}
+			}
+		}
+	}
+}
+
 func TestKARMAOptionUpdateOnDevice(t *testing.T) {
 	cl := slowLinkCluster()
 	g := model.Transformer(model.MegatronConfigs()[2]) // 2.5B: heavily out-of-core
@@ -176,6 +217,15 @@ func TestResultDerivedFields(t *testing.T) {
 	}
 	if got, want := r.CostPerf, float64(gpus)*float64(r.IterTime)/float64(r.GlobalBatch); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("CostPerf = %v, want %v", got, want)
+	}
+	// The epoch's iteration count rounds up without overflowing, even at
+	// the largest sample count.
+	huge, err := KARMADataParallel(g, cl, gpus, batch, math.MaxInt, KARMAOptions{})
+	if err != nil {
+		t.Fatalf("KARMADataParallel: %v", err)
+	}
+	if got, want := float64(huge.EpochTime), float64(math.MaxInt/r.GlobalBatch+1)*float64(huge.IterTime); got != want {
+		t.Errorf("EpochTime at %d samples = %v, want %v", math.MaxInt, got, want)
 	}
 }
 

@@ -74,9 +74,10 @@ func nodeShareBW(cl hw.Cluster) unit.BytesPerSec {
 // from the process-wide caches (caches.go): grid points sharing
 // (model, mp, batch, precision) profile and partition the shard exactly
 // once, concurrent sweep workers included. A non-nil Result reports an
-// infeasible configuration. With zero set, gradient and optimizer state
-// additionally shard across the data-parallel replicas — ZeRO's
-// defining memory property.
+// infeasible configuration; it still records the checkpointing regime
+// it was computed under (the tables' ckpt column reads it). With zero
+// set, gradient and optimizer state additionally shard across the
+// data-parallel replicas — ZeRO's defining memory property.
 func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*model.Shard, *profiler.Profile, *karma.Schedule, *Result, error) {
 	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
 		return nil, nil, nil, nil, err
@@ -88,19 +89,12 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 		return nil, nil, nil, nil, err
 	}
 	replicas := gpus / mp
-	global := replicas * perReplicaBatch
-	// Infeasible verdicts still record the checkpointing regime they were
-	// computed under (the tables' ckpt column reads it).
-	bad := func(format string, args ...any) *Result {
-		r := infeasible(gpus, global, format, args...)
-		r.Ckpt = o.Checkpoint
-		return r
-	}
+	sh := shell{gpus: gpus, global: replicas * perReplicaBatch, samples: samples, ckpt: o.Checkpoint}
 	if gpus%mp != 0 || replicas < 1 {
-		return nil, nil, nil, bad("%d GPUs do not divide into MP groups of %d", gpus, mp), nil
+		return nil, nil, nil, sh.infeasible("%d GPUs do not divide into MP groups of %d", gpus, mp), nil
 	}
 	if total := cl.TotalDevices(); gpus > total {
-		return nil, nil, nil, bad("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
+		return nil, nil, nil, sh.infeasible("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
 	}
 	shard := cachedShard(cfg, mp)
 	pk := shardProfileKey{
@@ -139,7 +133,7 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 		if o.Checkpoint {
 			actNeed = cachedFootprint(pk, p)
 		}
-		return nil, nil, nil, bad(
+		return nil, nil, nil, sh.infeasible(
 			"MP=%d shard needs %v of %v device memory; increase the MP factor or go out-of-core",
 			mp, weights+grads+master+actNeed, m), nil
 	}
@@ -328,16 +322,7 @@ func megatronCost(cfg model.TransformerConfig, shard *model.Shard, p *profiler.P
 // exchange — the configuration of Fig. 8's "MP+DP" versus "MP+DP
 // opt-ex" curves — and activation checkpointing in the shard.
 func MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
-	if err != nil || bad != nil {
-		return bad, err
-	}
-	replicas := gpus / mp
-	c := megatronCost(cfg, shard, p, s, cl, mp, replicas, false, o)
-	r := finalize(c.iter(), gpus, replicas*perReplicaBatch, samples)
-	r.Ckpt = o.Checkpoint
-	r.Breakdown = c.breakdown()
-	return r, nil
+	return evalHybrid(nil, cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
 }
 
 // ZeRO evaluates the sharded hybrid Turing-NLG shipped with: Megatron
@@ -350,14 +335,31 @@ func MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perRep
 // o.Checkpoint enables the activation checkpointing real ZeRO
 // deployments run with.
 func ZeRO(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
+	return evalHybrid(nil, cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
+}
+
+// evalHybrid is MP+DP (or, with zero, ZeRO) on either backend (pe ==
+// nil: analytic): the shared precheck, then megatronCost's phase
+// algebra or the simulated shard iteration (see planned_hybrid.go).
+func evalHybrid(pe *Planned, cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*Result, error) {
+	if zero {
+		// ZeRO's exchange is phased by construction. megatronCost tests
+		// zero first and hybridSetup ignores Phased, so only the planned
+		// lowering reads this.
+		o.Phased = true
+	}
+	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
 	if err != nil || bad != nil {
-		return bad, err
+		return pe.stamp(bad), err
 	}
 	replicas := gpus / mp
-	c := megatronCost(cfg, shard, p, s, cl, mp, replicas, true, o)
-	r := finalize(c.iter(), gpus, replicas*perReplicaBatch, samples)
-	r.Ckpt = o.Checkpoint
-	r.Breakdown = c.breakdown()
-	return r, nil
+	sh := shell{gpus: gpus, global: replicas * perReplicaBatch, samples: samples, ckpt: o.Checkpoint}
+	return pe.finish(sh, false, func() (unit.Seconds, *Breakdown) {
+		c := megatronCost(cfg, shard, p, s, cl, mp, replicas, zero, o)
+		return c.iter(), c.breakdown()
+	}, func() (unit.Seconds, *Breakdown, *PlanExport, error) {
+		return pe.simulate(s.Budget, func(sc *planScratch) (lowered, error) {
+			return pe.lowerHybrid(sc, cfg, shard, p, s, cl, mp, replicas, zero, o)
+		})
+	}), nil
 }

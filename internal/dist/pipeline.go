@@ -6,7 +6,6 @@ import (
 	"karma/internal/comm"
 	"karma/internal/hw"
 	"karma/internal/model"
-	"karma/internal/profiler"
 	"karma/internal/solve"
 	"karma/internal/unit"
 )
@@ -108,35 +107,31 @@ func pipeWire(cl hw.Cluster, stages int, b comm.Backend) (func(unit.Bytes) unit.
 // process-wide, like the hybrids' shard profiles), partitions it into
 // balanced stages, and decides each stage's residency regime. Both
 // evaluator backends go through it, so feasibility verdicts agree by
-// construction. A non-nil Result reports an infeasible configuration.
-func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) ([]pipeStage, *profiler.Profile, *Result, error) {
+// construction. It returns the configuration's shell; a non-nil Result
+// reports an infeasible configuration.
+func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) ([]pipeStage, shell, *Result, error) {
 	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, nil, nil, err
+		return nil, shell{}, nil, err
 	}
 	if stages <= 0 {
-		return nil, nil, nil, fmt.Errorf("dist: pipeline stage count must be positive, got %d", stages)
+		return nil, shell{}, nil, fmt.Errorf("dist: pipeline stage count must be positive, got %d", stages)
 	}
 	if micro <= 0 {
-		return nil, nil, nil, fmt.Errorf("dist: micro-batch count must be positive, got %d", micro)
+		return nil, shell{}, nil, fmt.Errorf("dist: micro-batch count must be positive, got %d", micro)
 	}
 	if err := validateTransformer(cfg); err != nil {
-		return nil, nil, nil, err
+		return nil, shell{}, nil, err
 	}
 	replicas := gpus / stages
-	global := replicas * perReplicaBatch
-	bad := func(format string, args ...any) *Result {
-		r := infeasible(gpus, global, format, args...)
-		r.Ckpt = o.Checkpoint
-		return r
-	}
+	sh := shell{gpus: gpus, global: replicas * perReplicaBatch, samples: samples, ckpt: o.Checkpoint}
 	if gpus%stages != 0 || replicas < 1 {
-		return nil, nil, bad("%d GPUs do not divide into pipelines of %d stages", gpus, stages), nil
+		return nil, sh, sh.infeasible("%d GPUs do not divide into pipelines of %d stages", gpus, stages), nil
 	}
 	if total := cl.TotalDevices(); gpus > total {
-		return nil, nil, bad("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
+		return nil, sh, sh.infeasible("cluster %s has %d devices, need %d", cl.Name, total, gpus), nil
 	}
 	if perReplicaBatch%micro != 0 {
-		return nil, nil, bad("%d micro-batches do not divide the per-replica batch %d", micro, perReplicaBatch), nil
+		return nil, sh, sh.infeasible("%d micro-batches do not divide the per-replica batch %d", micro, perReplicaBatch), nil
 	}
 	p, err := cachedProfile(shardProfileKey{
 		mk:    modelKey{cfg: cfg},
@@ -145,10 +140,10 @@ func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, per
 		dt:    o.Precision.DType(),
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, sh, nil, err
 	}
 	if stages > len(p.Blocks) {
-		return nil, nil, bad("model %s has %d blocks; cannot form %d pipeline stages", cfg.Name, len(p.Blocks), stages), nil
+		return nil, sh, sh.infeasible("model %s has %d blocks; cannot form %d pipeline stages", cfg.Name, len(p.Blocks), stages), nil
 	}
 
 	// Balance stages by compute time (the quantity the steady-state
@@ -159,7 +154,7 @@ func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, per
 	}
 	cuts, err := solve.BalancedPartition(weights, stages)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, sh, nil, err
 	}
 	m := budget(cl)
 	var sts []pipeStage
@@ -197,13 +192,13 @@ func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, per
 			if o.Checkpoint && ckpt < need {
 				need = ckpt
 			}
-			return nil, nil, bad(
+			return nil, sh, sh.infeasible(
 				"pipeline stage %d/%d needs %v of %v device memory; add stages or micro-batches",
 				si+1, stages, need, m), nil
 		}
 		sts = append(sts, st)
 	}
-	return sts, p, nil, nil
+	return sts, sh, nil, nil
 }
 
 // pipeCost is the analytic decomposition of one pipeline iteration.
@@ -313,16 +308,24 @@ func pipelineCost(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o
 // form; the planned backend simulates the bottleneck stage per
 // micro-batch (see planned_pipeline.go).
 func Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error) {
-	sts, _, bad, err := pipelineSetup(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
+	return evalPipeline(nil, cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
+}
+
+// evalPipeline is the pipeline on either backend (pe == nil: analytic):
+// the shared precheck, then pipelineCost's closed form or the simulated
+// bottleneck stage closed by pipelineCost's other terms (stageIter).
+func evalPipeline(pe *Planned, cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error) {
+	sts, sh, bad, err := pipelineSetup(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
 	if err != nil || bad != nil {
-		return bad, err
+		return pe.stamp(bad), err
 	}
 	replicas := gpus / stages
 	c := pipelineCost(sts, cl, stages, replicas, micro, o)
-	r := finalize(c.iter(), gpus, replicas*perReplicaBatch, samples)
-	r.Ckpt = o.Checkpoint
-	r.Breakdown = c.breakdown()
-	return r, nil
+	return pe.finish(sh, false, func() (unit.Seconds, *Breakdown) {
+		return c.iter(), c.breakdown()
+	}, func() (unit.Seconds, *Breakdown, *PlanExport, error) {
+		return pe.stageIter(sts, c, cl, stages, replicas, micro, o)
+	}), nil
 }
 
 // pipelineBudget returns the device memory available to one stage's

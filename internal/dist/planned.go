@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -18,59 +17,50 @@ import (
 	"karma/internal/unit"
 )
 
-// Planned is the planner-backed evaluator: instead of the closed-form
-// heavy/cheap activation split, each KARMA replica derives a per-replica
-// profile (sharded batch, optionally ZeRO-shrunk gradient footprint),
-// runs the real two-tier partition search (karma.Plan: Opt-1 blocking,
-// Opt-2 recompute interleave — at cluster scale in the §III-G
-// weight-streaming regime), and feeds the schedule through the event
-// simulator with the phased gradient exchange of internal/comm injected
-// as Network-stream ops, so swap and recompute stalls overlap the
-// exchange exactly as in Fig. 3.
+// Planned is the planner-backed evaluator. It runs the same evaluation
+// path per family as Analytic — shared precheck, closed form, finish —
+// and differs only in finish: where the analytic backend returns the
+// closed form, Planned simulates the iteration.
 //
-// Replica profiles come from the process-wide memo both backends share,
-// keyed by (graph, node, batch, dtype); partition searches are cached
-// per evaluator by (profile, planner options). Graphs are interned by
-// the value that builds them (CachedTransformer, CachedModel), so equal
-// configurations share one graph, hence one profile, hence one search:
-// sweeps re-plan each replica shape once per process, and a second pass
-// over the same panels re-plans nothing. Note that under ZeROShard the
-// gradient shard (1/gpus) is part of the replica shape — each GPU count
-// genuinely plans a different footprint — so a ZeRO sweep replans per
-// GPU count by design.
+//   - A KARMA replica runs the real two-tier partition search
+//     (karma.Plan: Opt-1 blocking, Opt-2 recompute interleave — at
+//     cluster scale in the §III-G weight-streaming regime) on its
+//     replica profile, at the ZeRO-shrunk gradient scale under
+//     ZeROShard, with the phased gradient exchange injected as
+//     Network-stream ops, so swap and recompute stalls overlap the
+//     exchange exactly as in Fig. 3. A fully in-core replica keeps the
+//     closed form, which is exact there.
+//   - An MP+DP or ZeRO shard lowers its in-core (or checkpointed)
+//     schedule with the blocking MP all-reduces, the data-parallel
+//     exchange and the update injected (planned_hybrid.go).
+//   - A pipeline simulates its bottleneck stage's micro-batch loop and
+//     adds the closed-form terms of the other stages
+//     (planned_pipeline.go).
+//   - Conventional DataParallel stays on the closed form, which is
+//     exact for a schedule with no overlap structure at all.
 //
-// Plans are lowered once per shape too. A plan's structure is fixed by
-// its schedule and a few options (template.go lists them), while the
-// GPU count and the fabric change only the durations of its exchange,
-// gather, MP all-reduce, update and momentum ops. Each Planned keeps
-// the compiled template of every shape it has simulated (at most
-// templateLimit, LRU); a grid point computes just those durations,
-// patches them into its shape's template on a pooled scratch, and
-// simulates. The recording evaluator lowers the full plan instead,
-// because exports need the plan.Plan; pipeline stage plans are lowered
-// per call on the pooled scratch.
+// When the partition search or the simulator cannot cost a
+// configuration the shared precheck deems feasible, finish returns the
+// closed form, whose "analytic" tag in Result.Backend marks the
+// fallback, rather than diverge on the feasibility verdict.
 //
-// All three caches are singleflight LRUs (internal/memo), so one shared
-// Planned serves a parallel sweep: concurrent grid points that need the
-// same replica profile, partition search or template block on one
-// computation instead of duplicating or serializing it, and distinct
-// keys compute in parallel.
-// The hybrid and pipeline shard builds/profiles/schedules come from the
-// process-wide caches both backends share (see hybridSetup).
-//
-// The in-core hybrid baselines (MegatronHybrid, ZeRO) run per layer too:
-// the 1/mp shard of model.TransformerShard is profiled, its in-core (or
-// checkpointed) schedule lowered to a plan, the blocking MP all-reduces
-// and the data-parallel exchange injected as collective-stream ops, and
-// the whole iteration simulated — so compute/collective overlap and
-// checkpoint-recompute stalls interact per layer (see planned_hybrid.go).
-// Conventional DataParallel stays on the closed form, which is exact for
-// a schedule with no overlap structure at all. When the partition search
-// or the simulator cannot cost a configuration the shared precheck deems
-// feasible, Planned falls back to the analytic cost (the result keeps
-// its "analytic" tag in Result.Backend) rather than diverging on the
-// feasibility verdict. Recording returns a variant that also keeps the
-// plan and timeline behind every result it returns (the export path).
+// Planned owns two caches, both singleflight LRUs (internal/memo), so
+// one shared Planned serves a parallel sweep: concurrent grid points
+// that need the same entry block on one computation, and distinct keys
+// compute in parallel. schedules holds the partition searches, keyed by
+// (profile, planner options); profiles, shard builds and shard
+// schedules come from the process-wide caches both backends share
+// (caches.go), and graphs are interned by the value that builds them
+// (CachedTransformer, CachedModel), so equal configurations share one
+// profile, hence one search, and a second pass over the same panels
+// re-plans nothing. Under ZeROShard the gradient shard (1/gpus) is part
+// of the replica shape, so a ZeRO sweep replans per GPU count by
+// design. templates holds the compiled template of each plan shape (at
+// most templateLimit, see template.go): the GPU count and the fabric
+// change only a few durations, which a grid point patches into its
+// shape's template on a pooled scratch before simulating. The recording
+// evaluator (Recording) lowers the full plan instead, because exports
+// need the plan.Plan; pipeline stage plans are lowered per call.
 type Planned struct {
 	schedules *memo.Cache[schedKey, planOutcome]
 	// templates holds the compiled template of each plan shape (see
@@ -139,7 +129,7 @@ func (*Planned) Name() string { return "planned" }
 
 // planOutcome is a cached partition-search verdict. karma.Plan is a
 // pure function of (profile, options), so "no feasible schedule" is as
-// deterministic as a schedule and is cached as a value — plannedIter
+// deterministic as a schedule and is cached as a value — replicaIter
 // probes the residency regime first and falls back to weight-streaming
 // on failure, and a sweep must not re-run that failing search per grid
 // point. The cache itself never retains errors (transient failures would
@@ -158,81 +148,104 @@ func (pe *Planned) plan(p *profiler.Profile, opts karma.Options) (*karma.Schedul
 	return out.s, out.err
 }
 
-// KARMADataParallel implements Evaluator with the planner-backed replica
-// cost.
+// KARMADataParallel implements Evaluator (see evalKARMA).
 func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int, o KARMAOptions) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("dist: nil graph")
+	return evalKARMA(pe, g, cl, gpus, perReplicaBatch, samples, o)
+}
+
+// DataParallel implements Evaluator with the closed form, which keeps
+// its "analytic" tag (see DataParallel).
+func (pe *Planned) DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
+	return DataParallel(g, cl, gpus, perReplicaBatch, samples)
+}
+
+// MegatronHybrid implements Evaluator (see evalHybrid).
+func (pe *Planned) MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
+	return evalHybrid(pe, cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
+}
+
+// ZeRO implements Evaluator (see evalHybrid).
+func (pe *Planned) ZeRO(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
+	return evalHybrid(pe, cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
+}
+
+// Pipeline implements Evaluator (see evalPipeline).
+func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error) {
+	return evalPipeline(pe, cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
+}
+
+// stamp tags r with the planned backend when pe is one; results are
+// tagged "analytic" at construction. A nil r passes through.
+func (pe *Planned) stamp(r *Result) *Result {
+	if pe != nil && r != nil {
+		r.Backend = pe.Name()
 	}
-	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
-		return nil, err
+	return r
+}
+
+// finish returns one feasible configuration's Result. On the analytic
+// backend (pe == nil) that is the closed form. On the planned backend it
+// is the simulated iteration, tagged "planned"; when the simulation
+// fails, it is the closed form, still tagged "analytic", with the
+// failure recorded — the fallback contract. exact marks a closed form
+// the simulation would only reproduce (a fully in-core KARMA replica):
+// it is returned tagged "planned", and simulated only to record its
+// plan.
+func (pe *Planned) finish(sh shell, exact bool, closed func() (unit.Seconds, *Breakdown), iter func() (unit.Seconds, *Breakdown, *PlanExport, error)) *Result {
+	if pe == nil {
+		return sh.result(closed())
 	}
-	global := gpus * perReplicaBatch
-	stamp := func(r *Result) *Result { r.Backend = pe.Name(); return r }
-	if total := cl.TotalDevices(); gpus > total {
-		return stamp(infeasible(gpus, global, "cluster %s has %d devices, need %d", cl.Name, total, gpus)), nil
+	if exact {
+		r := pe.stamp(sh.result(closed()))
+		if pe.rec != nil {
+			_, _, ex, err := iter()
+			pe.record(r, ex, err)
+		}
+		return r
 	}
-	p, err := replicaProfile(g, cl.Node, perReplicaBatch, o.Precision.DType())
+	t, bd, ex, err := iter()
 	if err != nil {
-		return nil, err
+		r := sh.result(closed())
+		pe.record(r, nil, err)
+		return r
 	}
-	m := budget(cl)
-	if mb := maxBlockBytes(p); mb > m {
-		// Shared verdict with the analytic backend: a single block that
-		// cannot fit is infeasible under any policy.
-		return stamp(infeasible(gpus, global, "largest block needs %v of %v device memory", mb, m)), nil
+	r := pe.stamp(sh.result(t, bd))
+	pe.record(r, ex, nil)
+	return r
+}
+
+// simulate runs one planned iteration on a pooled scratch: lower (timed
+// as "plan_build"), simulate the ops under budget, and attribute the
+// timeline. It returns the makespan, its breakdown and, when recording,
+// the plan behind them. The failSim test hook fails it before any work.
+func (pe *Planned) simulate(budget unit.Bytes, lower func(*planScratch) (lowered, error)) (unit.Seconds, *Breakdown, *PlanExport, error) {
+	if pe.failSim {
+		return 0, nil, nil, errForcedFallback
 	}
-	weights := p.TotalWeightBytes
-	grads := weights
+	sc := pe.scratch()
+	defer pe.release(sc)
+	var lw lowered
+	var err error
+	pe.timed("plan_build", func() { lw, err = lower(sc) })
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	tl, err := pe.run(sc, lw, budget)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return tl.Makespan, timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd), pe.capture(lw, tl, budget), nil
+}
+
+// replicaIter plans one replica and simulates its iteration with the
+// phased gradient exchange overlapped. The update, which the simulation
+// does not schedule, is added to both the makespan and the breakdown's
+// Update component, so the attribution still sums to the iteration
+// time.
+func (pe *Planned) replicaIter(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions) (unit.Seconds, *Breakdown, *PlanExport, error) {
 	gs := 1.0
 	if o.ZeROShard {
 		gs = 1 / float64(gpus)
-		grads = unit.Bytes(math.Ceil(float64(weights) / float64(gpus)))
-	}
-	if weights+grads+p.TotalActBytes <= m {
-		// Fully in-core the planner degenerates to conventional data
-		// parallelism and the closed form is exact; both backends agree
-		// bit-for-bit here by construction.
-		r, err := KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
-		if err != nil {
-			return nil, err
-		}
-		if pe.rec != nil {
-			// The recorded plan is the all-resident schedule the search
-			// derives for the in-core profile.
-			_, _, ex, serr := pe.plannedIter(p, cl, gpus, o, gs)
-			pe.record(r, ex, serr)
-		}
-		return stamp(r), nil
-	}
-	iter, bd, ex, err := pe.plannedIter(p, cl, gpus, o, gs)
-	if err != nil {
-		// The search found no simulable schedule for a configuration the
-		// shared precheck deems feasible: keep the feasibility verdict
-		// aligned and fall back to the closed form.
-		r, ferr := KARMADataParallel(g, cl, gpus, perReplicaBatch, samples, o)
-		if r != nil {
-			r.Backend = "analytic"
-			pe.record(r, nil, err)
-		}
-		return r, ferr
-	}
-	r := finalize(iter, gpus, global, samples)
-	r.Breakdown = bd
-	pe.record(r, ex, nil)
-	return stamp(r), nil
-}
-
-// plannedIter plans one replica and simulates its iteration with the
-// phased gradient exchange overlapped. The returned breakdown derives
-// from the simulated timeline (timelineBreakdown) with the update cost
-// — which the simulation does not schedule — added to both the
-// iteration and its Update component, so the attribution still sums to
-// the iteration time. A recording evaluator also gets the simulated
-// plan back.
-func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o KARMAOptions, gs float64) (unit.Seconds, *Breakdown, *PlanExport, error) {
-	if pe.failSim {
-		return 0, nil, nil, errForcedFallback
 	}
 	var s *karma.Schedule
 	var err error
@@ -240,21 +253,15 @@ func (pe *Planned) plannedIter(p *profiler.Profile, cl hw.Cluster, gpus int, o K
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	sc := pe.scratch()
-	defer pe.release(sc)
-	var lw lowered
-	pe.timed("plan_build", func() { lw, err = pe.lowerReplica(sc, s, cl, gpus, o) })
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	tl, err := pe.run(sc, lw, s.Budget)
+	makespan, b, ex, err := pe.simulate(s.Budget, func(sc *planScratch) (lowered, error) {
+		return pe.lowerReplica(sc, s, cl, gpus, o)
+	})
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	upd := updateCost(s, cl, o, gs)
-	b := timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd)
 	b.Update += upd
-	return tl.Makespan + upd, b, pe.capture(lw, tl, s.Budget), nil
+	return makespan + upd, b, ex, nil
 }
 
 // replicaSchedule runs the KARMA replica's partition search at gradient
@@ -462,25 +469,4 @@ func injectExchange(sc *planScratch, pl *plan.Plan, d *varDurs) {
 		}
 	}
 	pl.Stages = a.stages
-}
-
-// DataParallel implements Evaluator. Conventional data parallelism is
-// in-core by definition with no overlap structure to simulate; the
-// closed form is exact and the result keeps its "analytic" tag.
-func (pe *Planned) DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
-	return DataParallel(g, cl, gpus, perReplicaBatch, samples)
-}
-
-// MegatronHybrid implements Evaluator with the per-layer simulated shard
-// (see planned_hybrid.go).
-func (pe *Planned) MegatronHybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	return pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, false, o)
-}
-
-// ZeRO implements Evaluator with the per-layer simulated shard; the
-// exchange is always phased (reduce-scatter behind backward, parameter
-// all-gather under forward).
-func (pe *Planned) ZeRO(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, o HybridOptions) (*Result, error) {
-	o.Phased = true
-	return pe.hybrid(cfg, cl, mp, gpus, perReplicaBatch, samples, true, o)
 }

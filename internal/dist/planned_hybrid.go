@@ -18,70 +18,9 @@ import (
 // iteration costed by the event simulator — so the blocking per-layer
 // all-reduces, checkpoint replays and the phased exchange contend and
 // overlap exactly as scheduled (the fidelity tier above hybrid.go's
-// phase algebra).
-
-// hybrid evaluates one MP+DP (or ZeRO) configuration through the shared
-// setup (whose shard builds, profiles and schedules come from the
-// process-wide memo caches) and the per-layer simulation; a simulator
-// failure on a configuration the shared precheck deems feasible falls
-// back to the analytic closed form (the result keeps its "analytic"
-// tag).
-func (pe *Planned) hybrid(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplicaBatch, samples int, zero bool, o HybridOptions) (*Result, error) {
-	shard, p, s, bad, err := hybridSetup(cfg, cl, mp, gpus, perReplicaBatch, samples, zero, o)
-	if err != nil {
-		return nil, err
-	}
-	if bad != nil {
-		bad.Backend = pe.Name()
-		return bad, nil
-	}
-	replicas := gpus / mp
-	r := func(iter unit.Seconds) *Result {
-		res := finalize(iter, gpus, replicas*perReplicaBatch, samples)
-		res.Ckpt = o.Checkpoint
-		return res
-	}
-	iter, bd, ex, err := pe.hybridIter(cfg, shard, p, s, cl, mp, replicas, zero, o)
-	if err != nil {
-		c := megatronCost(cfg, shard, p, s, cl, mp, replicas, zero, o)
-		res := r(c.iter()) // Backend stays "analytic": explicit fallback
-		res.Breakdown = c.breakdown()
-		pe.record(res, nil, err)
-		return res, nil
-	}
-	res := r(iter)
-	res.Backend = pe.Name()
-	res.Breakdown = bd
-	pe.record(res, ex, nil)
-	return res, nil
-}
-
-// hybridIter lowers the shard schedule with the exchange and the MP
-// collectives injected, and simulates one iteration. The breakdown
-// derives from the simulated timeline; the update is a scheduled op
-// here, so no supplement is needed and the components sum to the
-// makespan by construction. A recording evaluator also gets the
-// simulated plan back.
-func (pe *Planned) hybridIter(cfg model.TransformerConfig, shard *model.Shard, p *profiler.Profile, s *karma.Schedule, cl hw.Cluster, mp, replicas int, zero bool, o HybridOptions) (unit.Seconds, *Breakdown, *PlanExport, error) {
-	if pe.failSim {
-		return 0, nil, nil, errForcedFallback
-	}
-	sc := pe.scratch()
-	defer pe.release(sc)
-	var lw lowered
-	var err error
-	pe.timed("plan_build", func() {
-		lw, err = pe.lowerHybrid(sc, cfg, shard, p, s, cl, mp, replicas, zero, o)
-	})
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	tl, err := pe.run(sc, lw, s.Budget)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return tl.Makespan, timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd), pe.capture(lw, tl, s.Budget), nil
-}
+// phase algebra). evalHybrid simulates lowerHybrid's ops; the update is a
+// scheduled op here, so the breakdown needs no supplement and its
+// components sum to the makespan by construction.
 
 // lowerHybrid lowers one MP+DP or ZeRO grid point on the scratch: the
 // durations of its exchange, gather, MP collectives and update, then its

@@ -5,7 +5,6 @@ import (
 
 	"karma/internal/comm"
 	"karma/internal/hw"
-	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/unit"
 )
@@ -21,69 +20,20 @@ import (
 // same closed-form terms as the analytic backend (pipelineCost), so the
 // two backends diverge only where the simulation adds fidelity.
 
-// Pipeline implements Evaluator with the simulated bottleneck stage; a
-// simulator failure on a configuration the shared precheck deems
-// feasible falls back to the analytic closed form (the result keeps its
-// "analytic" tag, Ckpt still recorded — the fallback contract).
-func (pe *Planned) Pipeline(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, perReplicaBatch, micro, samples int, o HybridOptions) (*Result, error) {
-	sts, _, bad, err := pipelineSetup(cfg, cl, stages, gpus, perReplicaBatch, micro, samples, o)
-	if err != nil {
-		return nil, err
-	}
-	if bad != nil {
-		bad.Backend = pe.Name()
-		return bad, nil
-	}
-	replicas := gpus / stages
-	r := func(iter unit.Seconds) *Result {
-		res := finalize(iter, gpus, replicas*perReplicaBatch, samples)
-		res.Ckpt = o.Checkpoint
-		return res
-	}
-	iter, bd, ex, err := pe.pipeIter(sts, cl, stages, replicas, micro, o)
-	if err != nil {
-		c := pipelineCost(sts, cl, stages, replicas, micro, o)
-		res := r(c.iter()) // Backend stays "analytic": explicit fallback
-		res.Breakdown = c.breakdown()
-		pe.record(res, nil, err)
-		return res, nil
-	}
-	res := r(iter)
-	res.Backend = pe.Name()
-	res.Breakdown = bd
-	pe.record(res, ex, nil)
-	return res, nil
-}
-
-// pipeIter simulates the bottleneck stage's micro-batch loop and closes
-// the iteration with the analytic fill/drain, exchange and update terms.
-// The breakdown derives from the simulated timeline; the closed-form
+// stageIter simulates the bottleneck stage's micro-batch loop and closes
+// the iteration with c's fill/drain, exchange and update terms. The
+// breakdown derives from the simulated timeline; the closed-form
 // supplement lands on the components it represents (other stages'
 // traversal and wires are pipeline bubble from the bottleneck's seat,
 // the exchange stall and update on their own components), so the
-// attribution still sums to the iteration time. A recording evaluator
-// also gets the simulated plan back.
-func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, micro int, o HybridOptions) (unit.Seconds, *Breakdown, *PlanExport, error) {
-	if pe.failSim {
-		return 0, nil, nil, errForcedFallback
-	}
-	backend := comm.Pick(stages * replicas)
-	wire, local := pipeWire(cl, stages, backend)
-
+// attribution still sums to the iteration time.
+func (pe *Planned) stageIter(sts []pipeStage, c pipeCost, cl hw.Cluster, stages, replicas, micro int, o HybridOptions) (unit.Seconds, *Breakdown, *PlanExport, error) {
+	wire, local := pipeWire(cl, stages, comm.Pick(stages*replicas))
 	sb, _ := bottleneckStage(sts, wire)
 	st := sts[sb]
-	sc := pe.scratch()
-	defer pe.release(sc)
-	var lw lowered
-	var err error
-	pe.timed("plan_build", func() {
-		lw, err = lowerFresh(sc, buildStagePlan(&sc.bld, st, micro, wire, local, sb, len(sts)), nil)
+	makespan, b, ex, err := pe.simulate(pipelineBudget(st, cl, o), func(sc *planScratch) (lowered, error) {
+		return lowerFresh(sc, buildStagePlan(&sc.bld, st, micro, wire, local, sb, len(sts)), nil)
 	})
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	budget := pipelineBudget(st, cl, o)
-	tl, err := pe.run(sc, lw, budget)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -92,7 +42,6 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 	// every boundary the simulation did not carry (both directions of the
 	// bottleneck's adjacent boundaries ride inside the simulated plan),
 	// plus the exchange stall and update shared with the analytic model.
-	c := pipelineCost(sts, cl, stages, replicas, micro, o)
 	supplement := c.exchangeStall + c.update
 	var bubble unit.Seconds
 	for s, other := range sts {
@@ -106,12 +55,11 @@ func (pe *Planned) pipeIter(sts []pipeStage, cl hw.Cluster, stages, replicas, mi
 			bubble += 2 * wire(other.OutBytes)
 		}
 	}
-	iter := tl.Makespan + supplement
-	b := timelineBreakdown(lw.ops, lw.kind, tl, &sc.bd)
+	iter := makespan + supplement
 	b.Bubble += bubble
 	b.ExchangeStall += c.exchangeStall
 	b.Update += c.update
-	return iter, b.withOccupancy(iter), pe.capture(lw, tl, budget), nil
+	return iter, b.withOccupancy(iter), ex, nil
 }
 
 // buildStagePlan lowers one stage's GPipe micro-batch loop to the plan

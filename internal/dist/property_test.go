@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"karma/internal/graph"
@@ -15,10 +16,10 @@ import (
 // This file is the cross-backend property harness: a table of seeded
 // randomized cluster/model/option configurations runs through both the
 // Analytic and Planned evaluators, asserting the contract the package
-// documents — identical feasibility verdicts with identical Reason
-// strings (the backends share one setup path), iteration times within a
-// bounded band, and agreement on every ordering the two backends are
-// both confident about. It replaces the earlier hand-picked
+// documents — infeasible verdicts equal in every field but Backend (the
+// backends share one precheck), feasible pairs agreeing on identity and
+// checkpointing regime, iteration times within a bounded band, and
+// agreement on every ordering the two backends are both confident about. It replaces the earlier hand-picked
 // feasibility-agreement loops: every family (KARMA-DP, conventional DP,
 // Megatron MP+DP, ZeRO, pipeline) and both precision regimes are drawn
 // from one seeded generator, so coverage grows by bumping a count
@@ -126,7 +127,7 @@ type propOutcome struct {
 }
 
 // TestBackendProperties is the harness entry point: verdict agreement,
-// Reason-string identity, bounded timing divergence, and pairwise
+// identical infeasible Results, bounded timing divergence, and pairwise
 // ordering agreement within every family.
 func TestBackendProperties(t *testing.T) {
 	n := 64
@@ -138,6 +139,17 @@ func TestBackendProperties(t *testing.T) {
 	pe := NewPlanned()
 	graphs := map[model.TransformerConfig]*graph.Graph{}
 	byFamily := map[string][]propOutcome{}
+	// One shared precheck: infeasible verdicts are one computation, equal
+	// in every field but the backend tag.
+	infeasible := 0
+	sameInfeasible := func(name string, ra, rp *Result) {
+		a, p := *ra, *rp
+		a.Backend, p.Backend = "", ""
+		if !reflect.DeepEqual(a, p) {
+			t.Errorf("%s: infeasible verdicts differ:\n  analytic %+v\n  planned  %+v", name, a, p)
+		}
+		infeasible++
+	}
 
 	for _, c := range cases {
 		ra, erra := c.run(an, graphs)
@@ -153,15 +165,13 @@ func TestBackendProperties(t *testing.T) {
 				c.name, ra.Feasible, ra.Reason, rp.Feasible, rp.Reason)
 			continue
 		}
-		if ra.Reason != rp.Reason {
-			t.Errorf("%s: Reason strings differ: %q vs %q", c.name, ra.Reason, rp.Reason)
-		}
 		if !ra.Feasible {
+			sameInfeasible(c.name, ra, rp)
 			continue
 		}
-		if ra.GPUs != rp.GPUs || ra.GlobalBatch != rp.GlobalBatch {
-			t.Errorf("%s: identity fields differ: gpus %d/%d batch %d/%d",
-				c.name, ra.GPUs, rp.GPUs, ra.GlobalBatch, rp.GlobalBatch)
+		if ra.GPUs != rp.GPUs || ra.GlobalBatch != rp.GlobalBatch || ra.Ckpt != rp.Ckpt {
+			t.Errorf("%s: identity fields differ: gpus %d/%d batch %d/%d ckpt %v/%v",
+				c.name, ra.GPUs, rp.GPUs, ra.GlobalBatch, rp.GlobalBatch, ra.Ckpt, rp.Ckpt)
 		}
 		ratio := float64(rp.IterTime) / float64(ra.IterTime)
 		if ratio < 0.5 || ratio > 2.0 {
@@ -169,6 +179,26 @@ func TestBackendProperties(t *testing.T) {
 				c.name, ratio, rp.IterTime, ra.IterTime)
 		}
 		byFamily[c.family] = append(byFamily[c.family], propOutcome{c: c, an: ra, pl: rp})
+	}
+
+	// Every case again on a device with a quarter GiB usable, where most
+	// verdicts are infeasible, so the shared precheck is pinned in every
+	// family.
+	for _, c := range cases {
+		c.memGiB, c.name = 1.5, c.name+"/tiny"
+		ra, erra := c.run(an, graphs)
+		rp, errp := c.run(pe, graphs)
+		if (erra != nil) != (errp != nil) {
+			t.Fatalf("%s: error mismatch: analytic %v, planned %v", c.name, erra, errp)
+		}
+		if erra != nil {
+			continue
+		}
+		if ra.Feasible != rp.Feasible {
+			t.Errorf("%s: feasibility disagrees: analytic %q, planned %q", c.name, ra.Reason, rp.Reason)
+		} else if !ra.Feasible {
+			sameInfeasible(c.name, ra, rp)
+		}
 	}
 
 	// Ordering agreement: wherever both backends separate a pair of
@@ -193,4 +223,5 @@ func TestBackendProperties(t *testing.T) {
 	for fam, outs := range byFamily {
 		t.Logf("%s: %d feasible configurations compared", fam, len(outs))
 	}
+	t.Logf("%d infeasible verdicts compared", infeasible)
 }

@@ -539,6 +539,25 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestGlobalBatchOverflowIs422: a GPU count whose product with the batch
+// overflows int is an invalid argument on both backends, answered 422
+// with a JSON error naming the overflow rather than 200 with a
+// wrapped-around global batch.
+func TestGlobalBatchOverflowIs422(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, backend := range []string{"analytic", "planned"} {
+		probe := `{"family":"karma-dp","model":"megatron-2.5B","gpus":4000000000000000000,"batch":4,"backend":"` + backend + `"}`
+		code, body := post(t, s, "/v1/evaluate", probe)
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s probe = %d: %s, want 422", backend, code, body)
+		}
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "overflows the global batch") {
+			t.Errorf("%s probe body %s: want a JSON error naming the overflow (%v)", backend, body, err)
+		}
+	}
+}
+
 // TestEvaluatePanicContained: a configuration whose evaluation panics
 // (a batch large enough to overflow a transfer size) answers 500 with a
 // JSON error instead of killing the daemon, is not cached — a retry
