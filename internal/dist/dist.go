@@ -93,8 +93,11 @@ type Result struct {
 	// Backend names the cost model that produced the numbers. Results are
 	// tagged "analytic" at construction (the package-level functions ARE
 	// the analytic backend); the planner-backed evaluator overwrites the
-	// tag with "planned" on the paths it actually simulates, so a
-	// "analytic" tag from Planned marks an explicit fallback.
+	// tag with "planned" on the paths it actually simulates. From
+	// Planned, an "analytic" tag therefore marks either a fallback to the
+	// closed form after a failed simulation, or conventional data
+	// parallelism, which both backends cost in closed form by design
+	// (see DataParallel).
 	Backend string `json:"backend"`
 	// Ckpt records whether the configuration ran with activation
 	// checkpointing (the in-core hybrids under HybridOptions.Checkpoint).

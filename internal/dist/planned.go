@@ -107,6 +107,10 @@ func (pe *Planned) timed(phase string, fn func()) {
 	pe.observe(phase, time.Since(start).Seconds())
 }
 
+// schedKey identifies a partition search by profile address; profiles
+// are never mutated once built (see profiler.Profile), and the cache
+// entry's key keeps its profile alive, so an address is never reused
+// while it is cached.
 type schedKey struct {
 	p    *profiler.Profile
 	opts karma.Options
@@ -153,8 +157,10 @@ func (pe *Planned) KARMADataParallel(g *graph.Graph, cl hw.Cluster, gpus, perRep
 	return evalKARMA(pe, g, cl, gpus, perReplicaBatch, samples, o)
 }
 
-// DataParallel implements Evaluator with the closed form, which keeps
-// its "analytic" tag (see DataParallel).
+// DataParallel implements Evaluator with the closed form, by design and
+// not as a fallback: conventional data parallelism has no overlap
+// structure to simulate, so every result, infeasible ones included,
+// keeps the "analytic" tag (see DataParallel and Result.Backend).
 func (pe *Planned) DataParallel(g *graph.Graph, cl hw.Cluster, gpus, perReplicaBatch, samples int) (*Result, error) {
 	return DataParallel(g, cl, gpus, perReplicaBatch, samples)
 }

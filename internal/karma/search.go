@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"karma/internal/hw"
+	"karma/internal/memo"
 	"karma/internal/occupancy"
 	"karma/internal/plan"
 	"karma/internal/profiler"
@@ -21,15 +23,118 @@ import (
 // occupancy under the memory-capacity constraint; Opt-2 flips blocks from
 // swapping to recomputation where that reduces pipeline stalls
 // (constraint 10.1).
+//
+// Only Opt-2 reads DisableRecompute, so the Opt-1 stage is shared: it is
+// computed once per (profile, options other than DisableRecompute) and
+// kept in a small package-level cache (see stages), and planning a
+// profile as both "KARMA" and "KARMA w/recompute" (Fig. 5) runs the
+// partition search once. The result is the same as a fresh search.
 func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 	opts.normalize()
-	budget, err := ActivationBudget(p, opts)
+	st, err := partition(p, opts)
 	if err != nil {
 		return nil, err
 	}
+	if st.err != nil {
+		return nil, st.err
+	}
+	sr := newSearcher(p, st.budget, opts)
+	sr.sim = simPool.Get().(*simScratch)
+	defer simPool.Put(sr.sim)
+	return sr.refine(st)
+}
+
+// simScratch is the plan builder, compiler and simulator whose arenas
+// every simulated Opt-2 candidate shares. Only a candidate's makespan
+// leaves them, so consecutive Plan calls may share one: simPool keeps
+// the arenas grown instead of regrowing them per call.
+type simScratch struct {
+	builder  plan.Builder
+	compiler plan.Compiler
+	runner   sim.Runner
+}
+
+var simPool = sync.Pool{New: func() any { return new(simScratch) }}
+
+// stageLimit bounds the Opt-1 stages kept. Fig. 5 plans one profile in
+// both recompute settings back to back, so one entry shares each search;
+// the second lets two concurrent planners interleave. Each entry keeps
+// its profile alive, so the bound stays small.
+const stageLimit = 2
+
+// stages holds the Opt-1 stage per (profile, normalized options with
+// DisableRecompute cleared). The key's profile pointer keeps the profile
+// alive while its entry is cached, so no later profile can take its
+// address and hit a stale stage; profiles are never mutated once
+// profiler.New returns (see profiler.Profile).
+var stages = memo.New[stageKey, *stage](stageLimit)
+
+type stageKey struct {
+	p    *profiler.Profile
+	opts Options
+}
+
+// stage is the outcome of Opt-1 for one profile: the activation budget,
+// the refined partition, and the Opt-2 ladder's partitions in the order
+// Opt-2 tries them. It is immutable once published, because concurrent
+// planners read the same entry. A failed search is kept as a value in
+// err: the cache never retains errors, and the failure is as
+// deterministic as a partition.
+type stage struct {
+	budget unit.Bytes
+	best   cutSet
+	ladder []cutSet
+	err    error
+}
+
+// cutSet is one partition Opt-2 refines: its cut positions and the
+// numeric merge of each of its blocks, so Opt-2 never merges.
+type cutSet struct {
+	cuts  []int
+	costs []profiler.Block
+}
+
+// cutSetOf returns the partition at cuts with its blocks' merged costs,
+// in slices of its own.
+func (sr *searcher) cutSetOf(cuts []int) cutSet {
+	cs := cutSet{cuts: slices.Clone(cuts), costs: make([]profiler.Block, len(cuts)+1)}
+	start := 0
+	for i := range cs.costs {
+		end := len(sr.p.Blocks)
+		if i < len(cuts) {
+			end = cuts[i]
+		}
+		cs.costs[i] = *sr.mergeCosts(start, end)
+		start = end
+	}
+	return cs
+}
+
+// partition returns the Opt-1 stage of (p, opts), from stages when it
+// is there. The error is not the search's (that lives in the stage) but
+// a panic of a concurrent caller's search this call waited on.
+func partition(p *profiler.Profile, opts Options) (*stage, error) {
+	opts.DisableRecompute = false
+	// A NaN option never equals itself, so its key could never hit and
+	// could never be evicted from the cache's map: search uncached.
+	if opts.Headroom != opts.Headroom || opts.GradScale != opts.GradScale {
+		return opt1(p, opts), nil
+	}
+	return stages.Do(stageKey{p: p, opts: opts}, func() (*stage, error) {
+		return opt1(p, opts), nil
+	})
+}
+
+// opt1 runs the Opt-1 search: balanced partitions enumerated over K and
+// refined by the selected solver, plus the Opt-2 ladder's cut sets.
+func opt1(p *profiler.Profile, opts Options) *stage {
+	budget, err := ActivationBudget(p, opts)
+	if err != nil {
+		return &stage{err: err}
+	}
 	n := len(p.Blocks)
 	if n == 0 {
-		return nil, fmt.Errorf("karma: profile has no blocks")
+		return &stage{err: fmt.Errorf("karma: profile has no blocks")}
 	}
 	sr := newSearcher(p, budget, opts)
 
@@ -49,7 +154,7 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 	// are bit-identical to per-k BalancedPartition calls).
 	pt, err := solve.NewPartitioner(weights)
 	if err != nil {
-		return nil, err
+		return &stage{err: err}
 	}
 	eval := sr.eval
 
@@ -70,7 +175,7 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 		}
 	}
 	if math.IsInf(bestV, 1) {
-		return nil, fmt.Errorf("karma: no feasible partition: a single segment exceeds the activation budget %v", budget)
+		return &stage{err: fmt.Errorf("karma: no feasible partition: a single segment exceeds the activation budget %v", budget)}
 	}
 	switch opts.Solver {
 	case SolverBalanced:
@@ -80,34 +185,41 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 			bestCuts = cuts
 		}
 	default:
-		return nil, fmt.Errorf("karma: unknown solver %d", int(opts.Solver))
+		return &stage{err: fmt.Errorf("karma: unknown solver %d", int(opts.Solver))}
 	}
 
-	// Opt-2: jointly search the residency depth and the recompute
-	// interleave over a ladder of blocking granularities. Keeping the
-	// maximal resident suffix is not always optimal — shrinking it frees
-	// budget for recompute checkpoints, trading swap traffic for
-	// redundant compute (constraint 10.1) — and recompute-heavy policies
-	// prefer different granularities than swap-heavy ones, so the final
-	// selection simulates candidates across both dimensions. The
-	// incumbent's time threads through as a bound: candidates whose
-	// makespan lower bound already exceeds it are pruned unsimulated.
-	s, t, err := sr.bestPolicy(bestCuts, unit.Seconds(math.Inf(1)))
-	var ladderCuts []int
+	// The granularities Opt-2 tries beside the refined partition.
+	st := &stage{budget: budget, best: sr.cutSetOf(bestCuts)}
+	var cuts []int
 	for _, k := range []int{maxK, maxK * 3 / 4, maxK / 2, maxK / 4, 8, 6, 4, 3, 2} {
 		if k < 2 || k > n || k == len(bestCuts)+1 {
 			continue
 		}
-		cuts, cerr := pt.AppendCuts(ladderCuts[:0], k)
-		if cerr != nil {
-			continue
+		if cuts, err = pt.AppendCuts(cuts[:0], k); err == nil {
+			st.ladder = append(st.ladder, sr.cutSetOf(cuts))
 		}
-		ladderCuts = cuts
+	}
+	return st
+}
+
+// refine runs Opt-2 over a stage: it jointly searches the residency
+// depth and the recompute interleave over a ladder of blocking
+// granularities. Keeping the maximal resident suffix is not always
+// optimal — shrinking it frees budget for recompute checkpoints, trading
+// swap traffic for redundant compute (constraint 10.1) — and
+// recompute-heavy policies prefer different granularities than
+// swap-heavy ones, so the final selection simulates candidates across
+// both dimensions. The incumbent's time threads through as a bound:
+// candidates whose makespan lower bound already exceeds it are pruned
+// unsimulated.
+func (sr *searcher) refine(st *stage) (*Schedule, error) {
+	s, t, err := sr.bestPolicy(&st.best, unit.Seconds(math.Inf(1)))
+	for i := range st.ladder {
 		bound := unit.Seconds(math.Inf(1))
 		if err == nil {
 			bound = t
 		}
-		if s2, t2, err2 := sr.bestPolicy(cuts, bound); err2 == nil && (err != nil || t2 < t) {
+		if s2, t2, err2 := sr.bestPolicy(&st.ladder[i], bound); err2 == nil && (err != nil || t2 < t) {
 			if s != nil {
 				sr.recycle(s)
 			}
@@ -120,18 +232,17 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 	// Candidates were costed from metadata-free merged blocks; give the
 	// winner the full merges (identical numerics plus the segment lists).
 	for i := range s.Blocks {
-		s.Blocks[i].Cost = p.MergeBlocks(s.Blocks[i].Range[0], s.Blocks[i].Range[1])
+		s.Blocks[i].Cost = sr.p.MergeBlocks(s.Blocks[i].Range[0], s.Blocks[i].Range[1])
 	}
 	return s, nil
 }
 
-// searcher carries the reusable state of one Plan invocation: merged
-// block costs and partition objective values memoized across candidates,
-// scratch buffers for the analytic estimate, the candidate schedules
-// losing candidates hand back, and the plan builder/compiler/simulator
-// whose arenas every simulated candidate shares. Zero steady-state
-// allocation is the point: the Opt-1/Opt-2 search replays these paths
-// thousands of times per plan.
+// searcher carries the reusable state of one search stage. Opt-1 uses
+// the merged block costs and partition objective values memoized across
+// candidates and the scratch buffers for the analytic estimate; Opt-2
+// uses the candidate schedules losing candidates hand back and a pooled
+// simScratch. Zero steady-state allocation is the point: the Opt-1/Opt-2
+// search replays these paths thousands of times per plan.
 type searcher struct {
 	p      *profiler.Profile
 	opts   Options
@@ -164,9 +275,7 @@ type searcher struct {
 	// reuses them and their Blocks.
 	free []*Schedule
 
-	builder  plan.Builder
-	compiler plan.Compiler
-	runner   sim.Runner
+	sim *simScratch // Opt-2 only
 }
 
 func newSearcher(p *profiler.Profile, budget unit.Bytes, opts Options) *searcher {
@@ -295,16 +404,16 @@ func (sr *searcher) estimate(cuts []int) unit.Seconds {
 // and runner, returning only the makespan. Error values match
 // Simulate's exactly (the search keeps the first failure).
 func (sr *searcher) iterTime(cand *Schedule) (unit.Seconds, error) {
-	pl, err := buildPlan(&sr.builder, sr.name, cand)
+	pl, err := buildPlan(&sr.sim.builder, sr.name, cand)
 	if err != nil {
 		return 0, err
 	}
-	c, err := sr.compiler.Compile(pl)
+	c, err := sr.sim.compiler.Compile(pl)
 	if err != nil {
 		return 0, err
 	}
 	//karma:plan-ok ops come from Compile on this same plan; the pooled Runner just skips Simulate's per-call allocations
-	tl, err := sr.runner.Run(c.Ops, cand.Budget)
+	tl, err := sr.sim.runner.Run(c.Ops, cand.Budget)
 	if err != nil {
 		return 0, fmt.Errorf("plan %s: %w", pl.Name, err)
 	}
@@ -362,8 +471,8 @@ func (sr *searcher) lowerBound(s *Schedule) float64 {
 // makespan lower bound cannot beat it are dominated — skipped without
 // simulating, which cannot change the winner because selection is by
 // strict improvement.
-func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.Seconds, error) {
-	base := sr.scheduleFromCuts(cuts)
+func (sr *searcher) bestPolicy(cs *cutSet, bound unit.Seconds) (*Schedule, unit.Seconds, error) {
+	base := sr.scheduleFromCuts(cs)
 	k := len(base.Blocks)
 	payloads := sr.bpay[:0]
 	for i := range base.Blocks {
@@ -412,7 +521,7 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 		}
 		// Candidate (a): capacity-based swapping with the greedy
 		// constraint-10.1 recompute interleave.
-		cand := sr.scheduleFromCuts(cuts)
+		cand := sr.scheduleFromCuts(cs)
 		cand.Resident = r
 		for i := range cand.Blocks {
 			if i < r {
@@ -431,7 +540,7 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 		// gradient-checkpointing structure, which KARMA's two-tier
 		// optimization subsumes; Fig. 4's search space includes it).
 		if !sr.opts.DisableRecompute && r > 0 && r < k {
-			ck := sr.scheduleFromCuts(cuts)
+			ck := sr.scheduleFromCuts(cs)
 			ck.Resident = r
 			if checkpointPrefix(ck, r, sr.budget-tail) {
 				try(ck)
@@ -449,14 +558,15 @@ func (sr *searcher) bestPolicy(cuts []int, bound unit.Seconds) (*Schedule, unit.
 	return best, bestTime, nil
 }
 
-// scheduleFromCuts materializes a candidate schedule from the cached
+// scheduleFromCuts materializes a candidate schedule from a cut set's
 // numeric merges: merged blocks, resident suffix, and Swap policy for
 // the non-resident prefix. Under StreamWeights every block carries its
 // weight and (scaled) gradient payload, including resident blocks —
 // their weights occupy the budget instead of the reserve. The schedule
 // reuses a recycled one when there is any.
-func (sr *searcher) scheduleFromCuts(cuts []int) *Schedule {
+func (sr *searcher) scheduleFromCuts(cs *cutSet) *Schedule {
 	n := len(sr.p.Blocks)
+	cuts := cs.cuts
 	var s *Schedule
 	if last := len(sr.free) - 1; last >= 0 {
 		s, sr.free = sr.free[last], sr.free[:last]
@@ -471,7 +581,7 @@ func (sr *searcher) scheduleFromCuts(cuts []int) *Schedule {
 		if i < len(cuts) {
 			end = cuts[i]
 		}
-		b := Block{Range: [2]int{start, end}, Cost: *sr.mergeCosts(start, end)}
+		b := Block{Range: [2]int{start, end}, Cost: cs.costs[i]}
 		start = end
 		if sr.opts.StreamWeights {
 			b.WBytes = b.Cost.WeightBytes

@@ -94,6 +94,11 @@ type Block struct {
 const sgdFLOPsPerParam = 4
 
 // Profile is the full per-block cost table for one (model, node, batch).
+//
+// A profile is never mutated once New returns: caches key on its
+// address (dist's partition-search memo, schedKey, and karma's shared
+// Opt-1 stage), so a change after the first plan would be served the
+// plan of the old contents. Derive a new profile instead.
 type Profile struct {
 	Graph  *graph.Graph
 	Node   hw.Node
