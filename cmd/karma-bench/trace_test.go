@@ -14,9 +14,6 @@ import (
 	"karma/internal/trace"
 )
 
-// openWTSamples is the Fig. 8 panels' epoch sample count (OpenWebText).
-const openWTSamples = 7_200_000
-
 // TestWritePanelTraces: -trace-out writes the same files, byte for byte,
 // whichever backend rendered the table, and each file is the Chrome
 // trace of the plan the matching dist.Export* call returns for the
@@ -38,12 +35,12 @@ func TestWritePanelTraces(t *testing.T) {
 				ho := dist.HybridOptions{Checkpoint: true}
 				switch method {
 				case "karma-dp":
-					return pe.ExportKARMA(model.Transformer(megatron), cl, gpus, 4, openWTSamples, dist.KARMAOptions{})
+					return pe.ExportKARMA(model.Transformer(megatron), cl, gpus, 4, dist.DefaultSamples, dist.KARMAOptions{})
 				case "mp+dp-opt":
 					ho.Phased = true
 					fallthrough
 				case "mp+dp":
-					return pe.ExportHybrid(megatron, cl, 4, gpus, 4, openWTSamples, false, ho)
+					return pe.ExportHybrid(megatron, cl, 4, gpus, 4, dist.DefaultSamples, false, ho)
 				}
 				return nil, fmt.Errorf("no export for method %q", method)
 			},
@@ -56,7 +53,7 @@ func TestWritePanelTraces(t *testing.T) {
 				switch method {
 				case "karma-dp", "zero+karma":
 					o := dist.KARMAOptions{ZeROShard: method == "zero+karma"}
-					return pe.ExportKARMA(model.Transformer(turing), cl, gpus, 2, openWTSamples, o)
+					return pe.ExportKARMA(model.Transformer(turing), cl, gpus, 2, dist.DefaultSamples, o)
 				}
 				return nil, fmt.Errorf("no export for method %q", method)
 			},

@@ -25,7 +25,7 @@ func main() {
 	cl := hw.ABCI()
 	cfg := model.MegatronConfigs()[2] // 2.5B parameters, MP factor 4
 	g := model.Transformer(cfg)
-	const samples = 7_200_000 // OpenWebText (Table III)
+	const samples = dist.DefaultSamples // OpenWebText (Table III)
 	const perReplicaBatch = 4
 
 	fmt.Printf("%s: %.1fB parameters (%v fp32 weights vs %v per GPU)\n",

@@ -69,12 +69,11 @@ func TestBreakdownReconciliation(t *testing.T) {
 		n = 24
 	}
 	cases := propCases(n, 20260808)
-	graphs := map[model.TransformerConfig]*graph.Graph{}
 	evs := []Evaluator{Analytic{}, NewPlanned()}
 	seen := map[string]int{}
 	for _, c := range cases {
 		for _, ev := range evs {
-			r, err := c.run(ev, graphs)
+			r, err := c.run(ev)
 			if err != nil {
 				continue // argument errors are the property harness's concern
 			}
@@ -86,7 +85,7 @@ func TestBreakdownReconciliation(t *testing.T) {
 	}
 	// The draw must actually exercise every family on both backends;
 	// a silent coverage collapse would make the property vacuous.
-	for _, fam := range []string{"karma", "dp", "megatron", "zero", "pipeline"} {
+	for _, fam := range families {
 		for _, ev := range evs {
 			if seen[fam+"/"+ev.Name()] == 0 {
 				t.Errorf("no feasible %s configuration reached backend %s", fam, ev.Name())

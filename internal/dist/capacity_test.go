@@ -81,7 +81,6 @@ func (c *countingEvaluator) Pipeline(cfg model.TransformerConfig, cl hw.Cluster,
 // batch and the marshaled Result must be identical, and the search must
 // call the evaluator exactly once.
 func TestCapacitySearchMatchesEvaluatorLoop(t *testing.T) {
-	const openWTSamples = 7_200_000
 	cfg := model.TuringNLG()
 	flat := hw.ABCI()
 	type zeroCell struct {
@@ -128,12 +127,12 @@ func TestCapacitySearchMatchesEvaluatorLoop(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/ckpt=%v", ev.Name(), prec, ckpt), func(t *testing.T) {
 					for _, c := range zeroCells {
 						what := fmt.Sprintf("zero %s mp=%d gpus=%d", c.cl.Topo().Name, c.mp, c.gpus)
-						wantB, want, err := refZeROCapacity(cfg, c.cl, c.mp, c.gpus, openWTSamples, ev, o)
+						wantB, want, err := refZeROCapacity(cfg, c.cl, c.mp, c.gpus, DefaultSamples, ev, o)
 						if err != nil {
 							t.Fatal(err)
 						}
 						ce := &countingEvaluator{Evaluator: ev}
-						gotB, got, err := ZeROCapacityBatch(cfg, c.cl, c.mp, c.gpus, openWTSamples, ce, o)
+						gotB, got, err := ZeROCapacityBatch(cfg, c.cl, c.mp, c.gpus, DefaultSamples, ce, o)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -144,12 +143,12 @@ func TestCapacitySearchMatchesEvaluatorLoop(t *testing.T) {
 					}
 					for _, gpus := range []int{512, 1024, 2048} {
 						what := fmt.Sprintf("pipeline gpus=%d", gpus)
-						wantB, want, err := refPipelineCapacity(cfg, flat, 16, gpus, 8, openWTSamples, ev, o)
+						wantB, want, err := refPipelineCapacity(cfg, flat, 16, gpus, 8, DefaultSamples, ev, o)
 						if err != nil {
 							t.Fatal(err)
 						}
 						ce := &countingEvaluator{Evaluator: ev}
-						gotB, got, err := PipelineCapacityBatch(cfg, flat, 16, gpus, 8, openWTSamples, ce, o)
+						gotB, got, err := PipelineCapacityBatch(cfg, flat, 16, gpus, 8, DefaultSamples, ce, o)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -50,6 +50,15 @@
 // capacity problems (undersized clusters, models that cannot be sharded
 // small enough), so experiment sweeps can render infeasible cells;
 // errors are reserved for invalid arguments.
+//
+// Request-driven callers (karma-serve) start from Config: one
+// configuration as a value, whose Canonical method holds the family
+// table, the defaults (DefaultSamples, DefaultMicro) and the argument
+// checks, and whose Eval method is the one dispatch from a family to its
+// Evaluator method. The family setups call the same checks, so a
+// positional call and a Config reject an argument alike; only the
+// global batch's overflow is left to evaluation. The experiment grids
+// call the positional Evaluator methods directly.
 package dist
 
 import (
@@ -167,26 +176,6 @@ func (sh shell) result(iter unit.Seconds, bd *Breakdown) *Result {
 		Ckpt:        sh.ckpt,
 		Breakdown:   bd,
 	}
-}
-
-// validateRun checks the argument combinations shared by all models.
-func validateRun(cl hw.Cluster, gpus, batch, samples int) error {
-	if gpus <= 0 {
-		return fmt.Errorf("dist: gpus must be positive, got %d", gpus)
-	}
-	if batch <= 0 {
-		return fmt.Errorf("dist: per-replica batch must be positive, got %d", batch)
-	}
-	if batch > math.MaxInt/gpus {
-		return fmt.Errorf("dist: %d GPUs x per-replica batch %d overflows the global batch", gpus, batch)
-	}
-	if samples <= 0 {
-		return fmt.Errorf("dist: sample count must be positive, got %d", samples)
-	}
-	if cl.Nodes <= 0 || cl.Node.Devices <= 0 {
-		return fmt.Errorf("dist: cluster %s has no devices", cl.Name)
-	}
-	return cl.Node.Device.Validate()
 }
 
 // budget returns the per-device memory available after headroom.

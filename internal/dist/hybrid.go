@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 
 	"karma/internal/comm"
@@ -39,15 +38,6 @@ type HybridOptions struct {
 	Precision tensor.Precision
 }
 
-// validateTransformer rejects degenerate configurations before the model
-// builder (which panics on structural errors) runs.
-func validateTransformer(cfg model.TransformerConfig) error {
-	if cfg.Hidden <= 0 || cfg.Heads <= 0 || cfg.Layers <= 0 || cfg.Seq <= 0 || cfg.Vocab <= 0 {
-		return fmt.Errorf("dist: degenerate transformer config %+v", cfg)
-	}
-	return nil
-}
-
 // shardEngine is the routing engine for the hybrids' data-parallel
 // exchange: each shard's replicas sit on distinct nodes, so every node
 // injects into Devices concurrent shard collectives that contend for the
@@ -82,8 +72,8 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if mp <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("dist: model-parallel factor must be positive, got %d", mp)
+	if err := positive("model-parallel factor", mp); err != nil {
+		return nil, nil, nil, nil, err
 	}
 	if err := validateTransformer(cfg); err != nil {
 		return nil, nil, nil, nil, err

@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"fmt"
-
 	"karma/internal/comm"
 	"karma/internal/hw"
 	"karma/internal/model"
@@ -113,11 +111,11 @@ func pipelineSetup(cfg model.TransformerConfig, cl hw.Cluster, stages, gpus, per
 	if err := validateRun(cl, gpus, perReplicaBatch, samples); err != nil {
 		return nil, shell{}, nil, err
 	}
-	if stages <= 0 {
-		return nil, shell{}, nil, fmt.Errorf("dist: pipeline stage count must be positive, got %d", stages)
+	if err := positive("pipeline stage count", stages); err != nil {
+		return nil, shell{}, nil, err
 	}
-	if micro <= 0 {
-		return nil, shell{}, nil, fmt.Errorf("dist: micro-batch count must be positive, got %d", micro)
+	if err := positive("micro-batch count", micro); err != nil {
+		return nil, shell{}, nil, err
 	}
 	if err := validateTransformer(cfg); err != nil {
 		return nil, shell{}, nil, err

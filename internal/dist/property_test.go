@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/model"
 	"karma/internal/tensor"
@@ -28,7 +27,7 @@ import (
 // propCase is one randomized configuration.
 type propCase struct {
 	name   string
-	family string // karma | dp | megatron | zero | pipeline
+	family string // a Config.Family
 	memGiB float64
 	cfg    model.TransformerConfig
 	mp     int // MP ways, or pipeline stages
@@ -57,7 +56,6 @@ func propModel(r *rand.Rand) model.TransformerConfig {
 // yields the same table, so a failure reproduces by name.
 func propCases(n int, seed int64) []propCase {
 	r := rand.New(rand.NewSource(seed))
-	families := []string{"karma", "dp", "megatron", "zero", "pipeline"}
 	var out []propCase
 	for i := 0; i < n; i++ {
 		c := propCase{
@@ -93,31 +91,19 @@ func propCases(n int, seed int64) []propCase {
 	return out
 }
 
-// run evaluates the case under one backend. Full-model graphs are
-// shared via the cache so the planned evaluator's profile cache keys
-// stay stable across backends and cases.
-func (c propCase) run(ev Evaluator, graphs map[model.TransformerConfig]*graph.Graph) (*Result, error) {
+// run evaluates the case under one backend through Config.Eval, the
+// dispatch request-driven callers use (TestConfigEvalMatchesPositional
+// holds it equal to the positional Evaluator methods).
+func (c propCase) run(ev Evaluator) (*Result, error) {
 	cl := hw.ABCI()
 	cl.Node.Device.MemCapacity = unit.Bytes(c.memGiB * float64(unit.GiB))
-	g, ok := graphs[c.cfg]
-	if !ok {
-		g = model.Transformer(c.cfg)
-		graphs[c.cfg] = g
-	}
-	switch c.family {
-	case "karma":
-		return ev.KARMADataParallel(g, cl, c.gpus, c.batch, samples, c.ko)
-	case "dp":
-		return ev.DataParallel(g, cl, c.gpus, c.batch, samples)
-	case "megatron":
-		return ev.MegatronHybrid(c.cfg, cl, c.mp, c.gpus, c.batch, samples, c.o)
-	case "zero":
-		return ev.ZeRO(c.cfg, cl, c.mp, c.gpus, c.batch, samples, c.o)
-	case "pipeline":
-		return ev.Pipeline(c.cfg, cl, c.mp, c.gpus, c.batch, c.micro, samples, c.o)
-	default:
-		panic("unknown family " + c.family)
-	}
+	cfg := c.cfg
+	return Config{
+		Family: c.family, Transformer: &cfg, Cluster: cl,
+		GPUs: c.gpus, Batch: c.batch, Samples: samples, MP: c.mp, Stages: c.mp, Micro: c.micro,
+		Precision: c.o.Precision, Ckpt: c.o.Checkpoint, Phased: c.o.Phased,
+		ZeROShard: c.ko.ZeROShard, UpdateOnDevice: c.ko.UpdateOnDevice,
+	}.Eval(ev)
 }
 
 // propOutcome pairs the two backends' results for the ordering pass.
@@ -137,7 +123,6 @@ func TestBackendProperties(t *testing.T) {
 	cases := propCases(n, 20260730)
 	an := Analytic{}
 	pe := NewPlanned()
-	graphs := map[model.TransformerConfig]*graph.Graph{}
 	byFamily := map[string][]propOutcome{}
 	// One shared precheck: infeasible verdicts are one computation, equal
 	// in every field but the backend tag.
@@ -152,8 +137,8 @@ func TestBackendProperties(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		ra, erra := c.run(an, graphs)
-		rp, errp := c.run(pe, graphs)
+		ra, erra := c.run(an)
+		rp, errp := c.run(pe)
 		if (erra != nil) != (errp != nil) {
 			t.Fatalf("%s: error mismatch: analytic %v, planned %v", c.name, erra, errp)
 		}
@@ -186,8 +171,8 @@ func TestBackendProperties(t *testing.T) {
 	// family.
 	for _, c := range cases {
 		c.memGiB, c.name = 1.5, c.name+"/tiny"
-		ra, erra := c.run(an, graphs)
-		rp, errp := c.run(pe, graphs)
+		ra, erra := c.run(an)
+		rp, errp := c.run(pe)
 		if (erra != nil) != (errp != nil) {
 			t.Fatalf("%s: error mismatch: analytic %v, planned %v", c.name, erra, errp)
 		}

@@ -78,11 +78,11 @@ func Ablations(node hw.Node, cl hw.Cluster, ev dist.Evaluator, workers int) ([]A
 		func() (*AblationResult, error) {
 			// A3: phased vs bulk gradient exchange (Megatron-2.5B hybrid,
 			// under the activation checkpointing its shard needs at batch 4).
-			phased, err := ev.MegatronHybrid(cfg, cl, 4, 512, 4, openWTSamples, dist.HybridOptions{Phased: true, Checkpoint: true})
+			phased, err := ev.MegatronHybrid(cfg, cl, 4, 512, 4, dist.DefaultSamples, dist.HybridOptions{Phased: true, Checkpoint: true})
 			if err != nil {
 				return nil, err
 			}
-			bulk, err := ev.MegatronHybrid(cfg, cl, 4, 512, 4, openWTSamples, dist.HybridOptions{Checkpoint: true})
+			bulk, err := ev.MegatronHybrid(cfg, cl, 4, 512, 4, dist.DefaultSamples, dist.HybridOptions{Checkpoint: true})
 			if err != nil {
 				return nil, err
 			}
@@ -96,11 +96,11 @@ func Ablations(node hw.Node, cl hw.Cluster, ev dist.Evaluator, workers int) ([]A
 		},
 		func() (*AblationResult, error) {
 			// A4: CPU-side vs move-back-to-GPU weight update.
-			host, err := ev.KARMADataParallel(g, cl, 256, 4, openWTSamples, dist.KARMAOptions{})
+			host, err := ev.KARMADataParallel(g, cl, 256, 4, dist.DefaultSamples, dist.KARMAOptions{})
 			if err != nil {
 				return nil, err
 			}
-			dev, err := ev.KARMADataParallel(g, cl, 256, 4, openWTSamples, dist.KARMAOptions{UpdateOnDevice: true})
+			dev, err := ev.KARMADataParallel(g, cl, 256, 4, dist.DefaultSamples, dist.KARMAOptions{UpdateOnDevice: true})
 			if err != nil {
 				return nil, err
 			}

@@ -11,9 +11,6 @@ import (
 	"karma/internal/tensor"
 )
 
-// openWTSamples is the OpenWebText sample count of Table III.
-const openWTSamples = 7_200_000
-
 // FamilyOptions configures the baseline families of the scaling panels
 // and Table IV: the checkpointing regime and training precision thread
 // through to every hybrid evaluation, and Pipeline adds the GPipe-style
@@ -26,11 +23,9 @@ type FamilyOptions struct {
 	// every family (dist.HybridOptions.Precision / KARMAOptions.Precision).
 	Precision tensor.Precision
 	// Pipeline adds the pipeline-parallel baseline to the panels, with
-	// stage count matched to the panel's MP degree.
+	// stage count matched to the panel's MP degree and
+	// dist.DefaultMicro micro-batches.
 	Pipeline bool
-	// PipelineMicro is the micro-batch count per pipeline iteration
-	// (clamped to the per-replica batch). Zero means 8.
-	PipelineMicro int
 	// Workers bounds the goroutines fanning grid points across the panel
 	// (sweep.Workers semantics: >= 1 is the bound, anything else means
 	// runtime.NumCPU). Results are deterministic for every value: cells
@@ -45,18 +40,6 @@ func (o FamilyOptions) hybrid(phased bool) dist.HybridOptions {
 
 func (o FamilyOptions) karma() dist.KARMAOptions {
 	return dist.KARMAOptions{Precision: o.Precision}
-}
-
-// micro returns the pipeline micro-batch count for a per-replica batch.
-func (o FamilyOptions) micro(perReplicaBatch int) int {
-	m := o.PipelineMicro
-	if m <= 0 {
-		m = 8
-	}
-	if m > perReplicaBatch {
-		m = perReplicaBatch
-	}
-	return m
 }
 
 // Fig8Row is one GPU count of one Fig. 8 panel.
@@ -102,13 +85,13 @@ func Figure8Megatron(cl hw.Cluster, cfgIdx int, gpusList []int, ev dist.Evaluato
 		gpus := gpusList[ri]
 		switch panel.Methods[mi] {
 		case "mp+dp":
-			return ev.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, openWTSamples, o.hybrid(false))
+			return ev.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, dist.DefaultSamples, o.hybrid(false))
 		case "mp+dp-opt":
-			return ev.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, openWTSamples, o.hybrid(true))
+			return ev.MegatronHybrid(cfg, cl, mp, gpus, perReplicaBatch, dist.DefaultSamples, o.hybrid(true))
 		case "karma-dp":
-			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, openWTSamples, o.karma())
+			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, dist.DefaultSamples, o.karma())
 		default: // pipeline
-			return ev.Pipeline(cfg, cl, mp, gpus, perReplicaBatch, o.micro(perReplicaBatch), openWTSamples, o.hybrid(true))
+			return ev.Pipeline(cfg, cl, mp, gpus, perReplicaBatch, dist.DefaultMicro(perReplicaBatch), dist.DefaultSamples, o.hybrid(true))
 		}
 	})
 	if err != nil {
@@ -177,7 +160,7 @@ func ZeROBestConfig(cfg model.TransformerConfig, cl hw.Cluster, gpus int, ev dis
 		if gpus%mp != 0 || gpus/mp < 2 {
 			return zcand{}, nil
 		}
-		batch, r, err := dist.ZeROCapacityBatch(cfg, cl, mp, gpus, openWTSamples, ev, o.hybrid(true))
+		batch, r, err := dist.ZeROCapacityBatch(cfg, cl, mp, gpus, dist.DefaultSamples, ev, o.hybrid(true))
 		return zcand{batch: batch, r: r}, err
 	})
 	if err != nil {
@@ -192,7 +175,7 @@ func ZeROBestConfig(cfg model.TransformerConfig, cl hw.Cluster, gpus int, ev dis
 	}
 	if best == nil {
 		// Nothing fits at any degree: report the shipped MP=16 verdict.
-		batch, r, err := dist.ZeROCapacityBatch(cfg, cl, 16, gpus, openWTSamples, ev, o.hybrid(true))
+		batch, r, err := dist.ZeROCapacityBatch(cfg, cl, 16, gpus, dist.DefaultSamples, ev, o.hybrid(true))
 		return 16, batch, r, err
 	}
 	return bestMP, bestBatch, best, nil
@@ -225,13 +208,13 @@ func Figure8Turing(cl hw.Cluster, gpusList []int, ev dist.Evaluator, o FamilyOpt
 			_, _, zero, err := ZeROBestConfig(cfg, cl, gpus, ev, o)
 			return zero, err
 		case "karma-dp":
-			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, openWTSamples, o.karma())
+			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, dist.DefaultSamples, o.karma())
 		case "zero+karma":
-			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, openWTSamples,
+			return ev.KARMADataParallel(g, cl, gpus, perReplicaBatch, dist.DefaultSamples,
 				dist.KARMAOptions{ZeROShard: true, Precision: o.Precision})
 		default: // pipeline
-			micro := o.micro(perReplicaBatch * pipeStages) // capacity sweep floor
-			_, pipe, err := dist.PipelineCapacityBatch(cfg, cl, pipeStages, gpus, micro, openWTSamples, ev, o.hybrid(true))
+			micro := dist.DefaultMicro(perReplicaBatch * pipeStages) // capacity sweep floor
+			_, pipe, err := dist.PipelineCapacityBatch(cfg, cl, pipeStages, gpus, micro, dist.DefaultSamples, ev, o.hybrid(true))
 			return pipe, err
 		}
 	})

@@ -68,11 +68,11 @@ func TableIV(cl hw.Cluster, ev dist.Evaluator, o FamilyOptions) ([]TableIVRow, e
 		cfg, mp := cfgs[ri], 1<<ri
 		switch mi {
 		case 0:
-			return ev.MegatronHybrid(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, openWTSamples, o.hybrid(false))
+			return ev.MegatronHybrid(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, dist.DefaultSamples, o.hybrid(false))
 		case 1:
-			return ev.KARMADataParallel(dist.CachedTransformer(cfg), cl, karmaGPUs[ri], perReplicaBatch, openWTSamples, o.karma())
+			return ev.KARMADataParallel(dist.CachedTransformer(cfg), cl, karmaGPUs[ri], perReplicaBatch, dist.DefaultSamples, o.karma())
 		default: // pipeline
-			return ev.Pipeline(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, o.micro(perReplicaBatch), openWTSamples, o.hybrid(true))
+			return ev.Pipeline(cfg, cl, mp, hybridGPUs[ri], perReplicaBatch, dist.DefaultMicro(perReplicaBatch), dist.DefaultSamples, o.hybrid(true))
 		}
 	})
 	if err != nil {

@@ -67,9 +67,9 @@ func TopologySweep(cl hw.Cluster, gpus int, topos []topo.Topology, ev dist.Evalu
 		case 0:
 			_, _, r, err = ZeROBestConfig(cfg, tcl, gpus, ev, o)
 		case 1:
-			r, err = ev.KARMADataParallel(g, tcl, gpus, perReplicaBatch, openWTSamples, o.karma())
+			r, err = ev.KARMADataParallel(g, tcl, gpus, perReplicaBatch, dist.DefaultSamples, o.karma())
 		default:
-			r, err = ev.KARMADataParallel(g, tcl, gpus, perReplicaBatch, openWTSamples,
+			r, err = ev.KARMADataParallel(g, tcl, gpus, perReplicaBatch, dist.DefaultSamples,
 				dist.KARMAOptions{ZeROShard: true, Precision: o.Precision})
 		}
 		if err != nil {

@@ -115,11 +115,6 @@ func (sr *searcher) cutSetOf(cuts []int) cutSet {
 // a panic of a concurrent caller's search this call waited on.
 func partition(p *profiler.Profile, opts Options) (*stage, error) {
 	opts.DisableRecompute = false
-	// A NaN option never equals itself, so its key could never hit and
-	// could never be evicted from the cache's map: search uncached.
-	if opts.Headroom != opts.Headroom || opts.GradScale != opts.GradScale {
-		return opt1(p, opts), nil
-	}
 	return stages.Do(stageKey{p: p, opts: opts}, func() (*stage, error) {
 		return opt1(p, opts), nil
 	})
@@ -606,31 +601,6 @@ func (sr *searcher) scheduleFromCuts(cs *cutSet) *Schedule {
 // recycle hands a candidate schedule nothing references any more back
 // to scheduleFromCuts.
 func (sr *searcher) recycle(s *Schedule) { sr.free = append(sr.free, s) }
-
-// scheduleFromCuts materializes a schedule with fully merged blocks (the
-// uncached, metadata-carrying path used outside the candidate search).
-func scheduleFromCuts(p *profiler.Profile, cuts []int, budget unit.Bytes, opts Options) *Schedule {
-	rs := solve.Ranges(cuts, len(p.Blocks))
-	blocks := make([]Block, len(rs))
-	payloads := make([]unit.Bytes, len(rs))
-	for i, r := range rs {
-		blocks[i] = Block{Range: [2]int{r[0], r[1]}, Cost: p.MergeBlocks(r[0], r[1])}
-		if opts.StreamWeights {
-			blocks[i].WBytes = blocks[i].Cost.WeightBytes
-			blocks[i].GBytes = unit.Bytes(math.Ceil(opts.GradScale * float64(blocks[i].Cost.WeightBytes)))
-		}
-		payloads[i] = blocks[i].Payload()
-	}
-	resident := occupancy.ResidentSuffix(payloads, budget)
-	for i := range blocks {
-		if i < resident {
-			blocks[i].Policy = Swap
-		} else {
-			blocks[i].Policy = Keep
-		}
-	}
-	return &Schedule{Profile: p, Opts: opts, Blocks: blocks, Resident: resident, Budget: budget}
-}
 
 // checkpointPrefix marks blocks [0, r) as recompute with greedy run
 // splitting: whenever the running replay working set would exceed half

@@ -167,7 +167,9 @@ func TestStreamedRecomputeCheckpointPlan(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		cuts = append(cuts, i*n/6)
 	}
-	s := scheduleFromCuts(p, cuts, budget, opts)
+	sr := newSearcher(p, budget, opts)
+	cs := sr.cutSetOf(cuts)
+	s := sr.scheduleFromCuts(&cs)
 	if s.NumBlocks() != 6 {
 		t.Fatalf("blocks = %d", s.NumBlocks())
 	}
@@ -219,7 +221,9 @@ func TestStreamedAllSwapPlanBalances(t *testing.T) {
 	for i := 1; i < 8; i++ {
 		cuts = append(cuts, i*n/8)
 	}
-	s := scheduleFromCuts(p, cuts, budget, opts)
+	sr := newSearcher(p, budget, opts)
+	cs := sr.cutSetOf(cuts)
+	s := sr.scheduleFromCuts(&cs)
 	s.Resident = s.NumBlocks()
 	for i := range s.Blocks {
 		s.Blocks[i].Policy = Swap

@@ -91,7 +91,14 @@ func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 // in-flight computation and then forgotten, so later callers retry. A
 // panic in fn is treated as a failure: the callers waiting on the flight
 // get it as an error, and the caller that ran fn panics with it.
+//
+// A key that is not equal to itself (a float holding NaN, or a struct
+// with such a field) could never be found again nor deleted from the
+// map, so Do runs fn for it directly: no entry, no counters.
 func (c *Cache[K, V]) Do(k K, fn func() (V, error)) (V, error) {
+	if k != k {
+		return fn()
+	}
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = map[K]*entry[K, V]{}

@@ -2,10 +2,12 @@ package memo
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSingleflight checks the dedup contract: concurrent callers of
@@ -277,5 +279,47 @@ func TestStatsAdd(t *testing.T) {
 	s.Add(Stats{Hits: 10, Misses: 20, Evictions: 30, Entries: 40})
 	if want := (Stats{Hits: 11, Misses: 22, Evictions: 33, Entries: 44}); s != want {
 		t.Errorf("sum = %+v, want %+v", s, want)
+	}
+}
+
+// TestNaNKeyUncached: a key that is not equal to itself can never be
+// found or deleted, so Do must run fn for it directly instead of growing
+// the map past its limit (where the eviction loop, unable to shrink it,
+// used to walk off the LRU ring while holding the lock). The work runs
+// under a deadline so a regression fails instead of hanging the suite.
+func TestNaNKeyUncached(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c := New[float64, int](2)
+		for i := 1; i <= 3; i++ {
+			v, err := c.Do(math.NaN(), func() (int, error) { return i, nil })
+			if v != i || err != nil {
+				t.Errorf("NaN call %d = %d, %v; want %d, nil", i, v, err, i)
+			}
+		}
+		if st := c.Stats(); st != (Stats{}) {
+			t.Errorf("NaN keys touched the cache: %+v", st)
+		}
+		type key struct {
+			name string
+			x    float64
+		}
+		s := New[key, int](2)
+		calls := 0
+		for i := 0; i < 3; i++ {
+			s.Do(key{"a", math.NaN()}, func() (int, error) { calls++; return 0, nil })
+		}
+		if calls != 3 {
+			t.Errorf("NaN-field struct key computed %d times, want 3 (never cached)", calls)
+		}
+		if st := s.Stats(); st != (Stats{}) {
+			t.Errorf("NaN-field struct keys touched the cache: %+v", st)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do on NaN keys did not return within 5s")
 	}
 }

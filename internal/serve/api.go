@@ -3,20 +3,16 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"karma/internal/dist"
 	"karma/internal/experiments"
-	"karma/internal/graph"
 	"karma/internal/hw"
 	"karma/internal/model"
 	"karma/internal/tensor"
 	"karma/internal/topo"
 )
-
-// openWTSamples is the default epoch sample count (Table III's
-// OpenWebText set, matching the experiment panels).
-const openWTSamples = 7_200_000
 
 // ClusterSpec selects and sizes the cluster a request evaluates
 // against. The zero value is the paper's ABCI machine on the flat
@@ -61,11 +57,12 @@ func (c *ClusterSpec) cluster() (hw.Cluster, error) {
 }
 
 // EvaluateRequest is the /v1/evaluate (and /v1/feasibility) payload:
-// one distributed-training configuration to cost. Model selection is
-// either Model (a registry name: a named graph model like "resnet50"
-// or a transformer configuration like "megatron-2.5B"/"turing-nlg-17B")
-// or Transformer (an explicit configuration); the hybrid and pipeline
-// families require a transformer either way.
+// the JSON wire form of one dist.Config, plus the backend to cost it on.
+// Model selection is either Model (a registry name: a named graph model
+// like "resnet50" or a transformer configuration like
+// "megatron-2.5B"/"turing-nlg-17B") or Transformer (an explicit
+// configuration); the hybrid and pipeline families require a
+// transformer either way.
 type EvaluateRequest struct {
 	// Family selects the parallelism family: "karma-dp", "dp", "mp+dp",
 	// "zero", or "pipeline".
@@ -83,14 +80,14 @@ type EvaluateRequest struct {
 	GPUs int `json:"gpus"`
 	// Batch is the per-replica mini-batch.
 	Batch int `json:"batch"`
-	// Samples is the epoch sample count (default: OpenWebText's 7.2M).
+	// Samples is the epoch sample count (default dist.DefaultSamples).
 	Samples int `json:"samples,omitempty"`
 	// MP is the tensor-parallel degree of the mp+dp and zero families.
 	MP int `json:"mp,omitempty"`
 	// Stages is the pipeline family's stage count.
 	Stages int `json:"stages,omitempty"`
 	// Micro is the pipeline family's micro-batch count per iteration
-	// (default 8, clamped to Batch — FamilyOptions' rule).
+	// (default dist.DefaultMicro, clamped to Batch).
 	Micro int `json:"micro,omitempty"`
 	// Ckpt enables activation checkpointing in the hybrid shards and
 	// pipeline stages.
@@ -107,153 +104,59 @@ type EvaluateRequest struct {
 	UpdateOnDevice bool `json:"update_on_device,omitempty"`
 }
 
+// parsePrecision defaults an empty precision to "fp32" and writes back
+// the canonical name ("mixed" becomes "fp16").
+func parsePrecision(s *string) (tensor.Precision, error) {
+	if *s == "" {
+		*s = "fp32"
+	}
+	prec, err := tensor.ParsePrecision(*s)
+	if err != nil {
+		return prec, err
+	}
+	*s = prec.String()
+	return prec, nil
+}
+
 // checkBackend defaults an empty backend to "analytic" and rejects
 // names outside dist.BackendNames.
 func checkBackend(b *string) error {
 	if *b == "" {
 		*b = "analytic"
 	}
-	for _, name := range dist.BackendNames() {
-		if *b == name {
-			return nil
-		}
+	if slices.Contains(dist.BackendNames(), *b) {
+		return nil
 	}
 	return fmt.Errorf("unknown backend %q (have %s)", *b, strings.Join(dist.BackendNames(), ", "))
 }
 
-// evaluateFamilies lists the accepted Family values.
-var evaluateFamilies = []string{"karma-dp", "dp", "mp+dp", "zero", "pipeline"}
-
-// normalize validates the request and writes back every default, so the
-// canonical marshaling of two semantically identical requests is
-// byte-identical (the response-cache key).
-func (r *EvaluateRequest) normalize() error {
-	families := map[string]bool{}
-	for _, f := range evaluateFamilies {
-		families[f] = true
-	}
-	if !families[r.Family] {
-		return fmt.Errorf("unknown family %q (have %s)", r.Family, strings.Join(evaluateFamilies, ", "))
-	}
+// config resolves the request's wire fields (backend, precision,
+// cluster), canonicalizes the configuration, and writes the canonical
+// model, transformer, samples, micro and precision back, so two requests
+// for one configuration marshal to one response-cache key. Its errors
+// are invalid requests.
+func (r *EvaluateRequest) config() (dist.Config, error) {
 	if err := checkBackend(&r.Backend); err != nil {
-		return err
+		return dist.Config{}, err
 	}
-	if (r.Model == "") == (r.Transformer == nil) {
-		return fmt.Errorf("exactly one of model and transformer must be set")
-	}
-	if r.Model != "" {
-		if cfg, ok := model.TransformerByName(r.Model); ok {
-			// Canonical form: a named transformer becomes its explicit
-			// configuration, so name and config requests share a key.
-			r.Transformer = &cfg
-			r.Model = ""
-		}
-	}
-	switch r.Family {
-	case "mp+dp", "zero", "pipeline":
-		if r.Transformer == nil {
-			return fmt.Errorf("family %q requires a transformer configuration", r.Family)
-		}
-	}
-	if r.Transformer != nil {
-		c := r.Transformer
-		if c.Hidden <= 0 || c.Heads <= 0 || c.Layers <= 0 || c.Seq <= 0 || c.Vocab <= 0 {
-			return fmt.Errorf("transformer dimensions must be positive: %+v", *c)
-		}
-	}
-	if r.GPUs <= 0 {
-		return fmt.Errorf("gpus must be positive, got %d", r.GPUs)
-	}
-	if r.Batch <= 0 {
-		return fmt.Errorf("batch must be positive, got %d", r.Batch)
-	}
-	if r.Samples == 0 {
-		r.Samples = openWTSamples
-	}
-	if r.Samples <= 0 {
-		return fmt.Errorf("samples must be positive, got %d", r.Samples)
-	}
-	switch r.Family {
-	case "mp+dp", "zero":
-		if r.MP < 1 {
-			return fmt.Errorf("family %q requires mp >= 1, got %d", r.Family, r.MP)
-		}
-	case "pipeline":
-		if r.Stages < 1 {
-			return fmt.Errorf("pipeline requires stages >= 1, got %d", r.Stages)
-		}
-		if r.Micro == 0 {
-			r.Micro = 8
-		}
-		if r.Micro < 0 {
-			return fmt.Errorf("micro must be positive, got %d", r.Micro)
-		}
-		if r.Micro > r.Batch {
-			r.Micro = r.Batch
-		}
-	}
-	if r.Precision == "" {
-		r.Precision = "fp32"
-	}
-	prec, err := tensor.ParsePrecision(r.Precision)
+	prec, err := parsePrecision(&r.Precision)
 	if err != nil {
-		return err
+		return dist.Config{}, err
 	}
-	r.Precision = prec.String() // canonical: "mixed" -> "fp16"
-	if _, err := r.Cluster.cluster(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// fullGraph resolves the request's full-model graph through the interned
-// builds of internal/dist (transformer configs by value, named models by
-// name), so repeated requests reuse one *graph.Graph and the evaluators'
-// graph-keyed caches hit.
-func (r *EvaluateRequest) fullGraph() (*graph.Graph, error) {
-	if r.Transformer != nil {
-		return dist.CachedTransformer(*r.Transformer), nil
-	}
-	return dist.CachedModel(r.Model)
-}
-
-// evaluate runs the normalized request against the evaluator.
-func (r *EvaluateRequest) evaluate(ev dist.Evaluator) (*dist.Result, error) {
 	cl, err := r.Cluster.cluster()
 	if err != nil {
-		return nil, err
+		return dist.Config{}, err
 	}
-	prec, err := tensor.ParsePrecision(r.Precision)
+	c, err := dist.Config{
+		Family: r.Family, Model: r.Model, Transformer: r.Transformer, Cluster: cl,
+		GPUs: r.GPUs, Batch: r.Batch, Samples: r.Samples, MP: r.MP, Stages: r.Stages, Micro: r.Micro,
+		Precision: prec, Ckpt: r.Ckpt, Phased: r.Phased, ZeROShard: r.ZeROShard, UpdateOnDevice: r.UpdateOnDevice,
+	}.Canonical()
 	if err != nil {
-		return nil, err
+		return dist.Config{}, err
 	}
-	ho := dist.HybridOptions{Phased: r.Phased, Checkpoint: r.Ckpt, Precision: prec}
-	switch r.Family {
-	case "karma-dp":
-		g, err := r.fullGraph()
-		if err != nil {
-			return nil, err
-		}
-		return ev.KARMADataParallel(g, cl, r.GPUs, r.Batch, r.Samples, dist.KARMAOptions{
-			UpdateOnDevice: r.UpdateOnDevice,
-			ZeROShard:      r.ZeROShard,
-			Precision:      prec,
-		})
-	case "dp":
-		g, err := r.fullGraph()
-		if err != nil {
-			return nil, err
-		}
-		return ev.DataParallel(g, cl, r.GPUs, r.Batch, r.Samples)
-	case "mp+dp":
-		return ev.MegatronHybrid(*r.Transformer, cl, r.MP, r.GPUs, r.Batch, r.Samples, ho)
-	case "zero":
-		return ev.ZeRO(*r.Transformer, cl, r.MP, r.GPUs, r.Batch, r.Samples, ho)
-	case "pipeline":
-		return ev.Pipeline(*r.Transformer, cl, r.Stages, r.GPUs, r.Batch, r.Micro, r.Samples, ho)
-	default:
-		return nil, fmt.Errorf("unknown family %q", r.Family)
-	}
+	r.Model, r.Transformer, r.Samples, r.Micro = c.Model, c.Transformer, c.Samples, c.Micro
+	return c, nil
 }
 
 // EvaluateResponse wraps one configuration's evaluation.
@@ -304,24 +207,15 @@ var sweepPanels = []string{"fig8-megatron", "fig8-turing", "table4", "table5", "
 
 // normalize validates the sweep request and writes back every default.
 func (r *SweepRequest) normalize() error {
-	panels := map[string]bool{}
-	for _, p := range sweepPanels {
-		panels[p] = true
-	}
-	if !panels[r.Panel] {
+	if !slices.Contains(sweepPanels, r.Panel) {
 		return fmt.Errorf("unknown panel %q (have %s)", r.Panel, strings.Join(sweepPanels, ", "))
 	}
 	if err := checkBackend(&r.Backend); err != nil {
 		return err
 	}
-	if r.Precision == "" {
-		r.Precision = "fp32"
-	}
-	prec, err := tensor.ParsePrecision(r.Precision)
-	if err != nil {
+	if _, err := parsePrecision(&r.Precision); err != nil {
 		return err
 	}
-	r.Precision = prec.String()
 	if r.Ckpt == nil {
 		t := true
 		r.Ckpt = &t

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkCanonicalKey times the per-request serving layer around an
-// evaluation: the canonical response-cache key of a normalized
+// evaluation: the canonical response-cache key of a canonicalized
 // /v1/evaluate request, plus the encoding of its response body (a
 // Megatron-LM 2.5B ZeRO verdict with its breakdown). The evaluation
 // itself runs once, outside the timer.
@@ -17,10 +17,11 @@ func BenchmarkCanonicalKey(b *testing.B) {
 	if err := json.Unmarshal([]byte(`{"family":"zero","model":"megatron-2.5B","gpus":512,"batch":4,"mp":4,"ckpt":true}`), &req); err != nil {
 		b.Fatal(err)
 	}
-	if err := req.normalize(); err != nil {
+	cfg, err := req.config()
+	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := req.evaluate(dist.Analytic{})
+	res, err := cfg.Eval(dist.Analytic{})
 	if err != nil {
 		b.Fatal(err)
 	}

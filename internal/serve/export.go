@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -35,13 +36,9 @@ var exportQueryFields = []string{
 // queryRequest builds an EvaluateRequest from GET query parameters,
 // rejecting unknown names (the query-string analogue of decodeStrict).
 func queryRequest(q url.Values) (*EvaluateRequest, error) {
-	known := map[string]bool{}
-	for _, f := range exportQueryFields {
-		known[f] = true
-	}
 	var unknown []string
 	for k := range q { //karma:det-ok keys are sorted before use
-		if !known[k] {
+		if !slices.Contains(exportQueryFields, k) {
 			unknown = append(unknown, k)
 		}
 	}
@@ -92,58 +89,60 @@ func queryRequest(q url.Values) (*EvaluateRequest, error) {
 	return req, nil
 }
 
-// exportRequest decodes, normalizes and keys a plan/trace request. It
-// writes the error response itself; ok reports whether the caller may
+// exportRequest decodes, canonicalizes and keys a plan/trace request.
+// It writes the error response itself; ok reports whether the caller may
 // proceed.
-func (s *Server) exportRequest(w http.ResponseWriter, r *http.Request, endpoint string) (req *EvaluateRequest, key string, ok bool) {
+func (s *Server) exportRequest(w http.ResponseWriter, r *http.Request, endpoint string) (cfg dist.Config, key string, ok bool) {
+	var req *EvaluateRequest
 	switch r.Method {
 	case http.MethodGet:
 		var err error
 		if req, err = queryRequest(r.URL.Query()); err != nil {
 			writeError(w, r, http.StatusBadRequest, "%v", err)
-			return nil, "", false
+			return cfg, "", false
 		}
 	case http.MethodPost:
 		req = &EvaluateRequest{}
 		if err := decodeStrict(r, req); err != nil {
 			writeError(w, r, http.StatusBadRequest, "decoding request: %v", err)
-			return nil, "", false
+			return cfg, "", false
 		}
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET with query parameters or POST with a JSON body")
-		return nil, "", false
+		return cfg, "", false
 	}
 	// The export is the planner's schedule by definition; overriding a
 	// valid backend before keying lets explicit-planned and defaulted
 	// requests share one cache entry.
 	if err := checkBackend(&req.Backend); err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return nil, "", false
+		return cfg, "", false
 	}
 	req.Backend = "planned"
-	if err := req.normalize(); err != nil {
+	cfg, err := req.config()
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return nil, "", false
+		return cfg, "", false
 	}
 	if req.Family == "dp" {
 		writeError(w, r, http.StatusBadRequest,
 			"family %q has no planner schedule to export (its exchange is closed-form); use karma-dp", req.Family)
-		return nil, "", false
+		return cfg, "", false
 	}
-	key, err := canonicalKey(endpoint, req)
+	key, err = canonicalKey(endpoint, req)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, "%v", err)
-		return nil, "", false
+		return cfg, "", false
 	}
-	return req, key, true
+	return cfg, key, true
 }
 
-// export evaluates a normalized request through a recording planned
-// evaluator and returns the plan its verdict was costed on.
-func (s *Server) export(req *EvaluateRequest) (*dist.PlanExport, error) {
+// export evaluates a canonical configuration through a recording
+// planned evaluator and returns the plan its verdict was costed on.
+func (s *Server) export(cfg dist.Config) (*dist.PlanExport, error) {
 	rec := s.planned.Recording()
-	return rec.Recorded(req.evaluate(rec))
+	return rec.Recorded(cfg.Eval(rec))
 }
 
 // PlanResponse is the /v1/plan body: the compiled plan in its canonical
@@ -156,14 +155,14 @@ type PlanResponse struct {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	req, key, ok := s.exportRequest(w, r, "/v1/plan")
+	cfg, key, ok := s.exportRequest(w, r, "/v1/plan")
 	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	body, code, err := s.compute(ctx, "/v1/plan", key, func() (any, error) {
-		ex, err := s.export(req)
+		ex, err := s.export(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -181,14 +180,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	req, key, ok := s.exportRequest(w, r, "/v1/trace")
+	cfg, key, ok := s.exportRequest(w, r, "/v1/trace")
 	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	body, code, err := s.computeRaw(ctx, "/v1/trace", key, func() ([]byte, error) {
-		ex, err := s.export(req)
+		ex, err := s.export(cfg)
 		if err != nil {
 			return nil, err
 		}

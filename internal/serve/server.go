@@ -12,6 +12,13 @@
 //	GET  /healthz        liveness + build info
 //	GET  /stats          Prometheus text: requests, latency, phases, caches
 //
+// The /v1/evaluate body, EvaluateRequest, is the JSON wire form of one
+// dist.Config: the handler resolves its wire-only fields (backend name,
+// precision string, cluster spec), canonicalizes it with
+// dist.Config.Canonical (an invalid configuration is a 400), keys the
+// response cache on the canonical form, and evaluates it with
+// dist.Config.Eval (an evaluation error is a 422).
+//
 // /v1/plan and /v1/trace accept the /v1/evaluate JSON body via POST, or
 // the same fields as query parameters via GET (curl-friendly); both run
 // the planned backend regardless of the requested one and answer with
@@ -384,7 +391,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, endpoint str
 		writeError(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if err := req.normalize(); err != nil {
+	cfg, err := req.config()
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -396,7 +404,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, endpoint str
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	body, code, err := s.compute(ctx, endpoint, key, func() (any, error) {
-		res, err := req.evaluate(s.evals[req.Backend])
+		res, err := cfg.Eval(s.evals[req.Backend])
 		if err != nil {
 			return nil, err
 		}
