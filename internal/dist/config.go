@@ -154,6 +154,9 @@ func checkArgs(cl hw.Cluster, gpus, batch, samples int) error {
 	if cl.Nodes <= 0 || cl.Node.Devices <= 0 {
 		return fmt.Errorf("dist: cluster %s has no devices", cl.Name)
 	}
+	if cl.Nodes > math.MaxInt/cl.Node.Devices {
+		return fmt.Errorf("dist: cluster %s: %d nodes x %d devices overflows the device count", cl.Name, cl.Nodes, cl.Node.Devices)
+	}
 	return cl.Node.Device.Validate()
 }
 

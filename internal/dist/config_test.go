@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"karma/internal/hw"
@@ -64,6 +65,9 @@ func checkCanonical(t *testing.T, c Config) {
 	if got.Samples <= 0 {
 		t.Fatalf("canonical %+v has samples %d", got, got.Samples)
 	}
+	if d := got.Cluster.TotalDevices(); d <= 0 || d/got.Cluster.Node.Devices != got.Cluster.Nodes {
+		t.Fatalf("canonical %+v: %d nodes report %d devices", got, got.Cluster.Nodes, d)
+	}
 	if got.Family == "pipeline" && (got.Micro < 1 || got.Micro > got.Batch) {
 		t.Fatalf("canonical pipeline %+v: micro %d outside [1, batch %d]", got, got.Micro, got.Batch)
 	}
@@ -87,6 +91,27 @@ func TestConfigCanonicalIdempotent(t *testing.T) {
 	}
 	if valid < 300 {
 		t.Fatalf("only %d of the draws were valid; the property is nearly vacuous", valid)
+	}
+}
+
+// TestConfigNodeOverflow: a node count whose device product overflows
+// int is rejected, so no evaluation sees a wrapped-around device count
+// (2^62 ABCI nodes of 4 devices used to report 0 devices); the largest
+// node count that fits is accepted.
+func TestConfigNodeOverflow(t *testing.T) {
+	perNode := hw.ABCI().Node.Devices
+	for _, c := range []struct {
+		nodes int
+		ok    bool
+	}{{math.MaxInt / perNode, true}, {math.MaxInt/perNode + 1, false}, {1 << 62, false}, {1<<62 + 1, false}, {math.MaxInt, false}} {
+		cfg := fuzzConfig(0, 1, 0, c.nodes, 8, 8, 0, 0, 0, 0, 0)
+		_, err := cfg.Canonical()
+		if c.ok != (err == nil) {
+			t.Errorf("%d nodes: error %v, want ok=%v", c.nodes, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "overflows the device count") {
+			t.Errorf("%d nodes: error %q does not name the overflow", c.nodes, err)
+		}
 	}
 }
 

@@ -183,11 +183,14 @@ func opt1(p *profiler.Profile, opts Options) *stage {
 		return &stage{err: fmt.Errorf("karma: unknown solver %d", int(opts.Solver))}
 	}
 
-	// The granularities Opt-2 tries beside the refined partition.
+	// The granularities Opt-2 tries beside the refined partition. A
+	// block count tried before is skipped: its cut set would be the
+	// same, and selection keeps only a strict improvement.
 	st := &stage{budget: budget, best: sr.cutSetOf(bestCuts)}
 	var cuts []int
-	for _, k := range []int{maxK, maxK * 3 / 4, maxK / 2, maxK / 4, 8, 6, 4, 3, 2} {
-		if k < 2 || k > n || k == len(bestCuts)+1 {
+	rungs := [...]int{maxK, maxK * 3 / 4, maxK / 2, maxK / 4, 8, 6, 4, 3, 2}
+	for i, k := range rungs {
+		if k < 2 || k > n || k == len(bestCuts)+1 || slices.Contains(rungs[:i], k) {
 			continue
 		}
 		if cuts, err = pt.AppendCuts(cuts[:0], k); err == nil {

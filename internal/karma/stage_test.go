@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -183,4 +184,33 @@ func FuzzPlanPair(f *testing.F) {
 		}
 		checkPair(t, "fuzz", p, o, swapFirst)
 	})
+}
+
+// TestStageLadderDistinct checks that no two partitions of an Opt-1
+// stage have the same block count: a repeated rung would only make
+// Opt-2 simulate an identical cut set again. The block counts cover
+// ladders whose maxK/4 or maxK/2 meets a fixed rung (24 blocks: 6; the
+// default maxK of 32: 8; maxK 16: 8 and 4).
+func TestStageLadderDistinct(t *testing.T) {
+	for _, c := range []struct {
+		blocks, maxBlocks int
+	}{{24, 0}, {40, 0}, {40, 16}, {40, 12}, {12, 0}, {9, 0}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			o := Options{MaxBlocks: c.maxBlocks}
+			o.normalize()
+			st := opt1(fuzzProfile(seed, c.blocks), o)
+			if st.err != nil {
+				t.Fatalf("%d blocks, MaxBlocks %d, seed %d: %v", c.blocks, c.maxBlocks, seed, st.err)
+			}
+			ks := []int{len(st.best.cuts) + 1}
+			for _, cs := range st.ladder {
+				k := len(cs.cuts) + 1
+				if slices.Contains(ks, k) {
+					t.Errorf("%d blocks, MaxBlocks %d, seed %d: block count %d again after %v (best first)",
+						c.blocks, c.maxBlocks, seed, k, ks)
+				}
+				ks = append(ks, k)
+			}
+		}
+	}
 }

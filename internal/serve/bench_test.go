@@ -2,6 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"karma/internal/dist"
@@ -34,5 +37,27 @@ func BenchmarkCanonicalKey(b *testing.B) {
 		if _, err := encode(EvaluateResponse{Result: res}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEvaluateHit times one /v1/evaluate request answered from the
+// response cache, through the real handler: decoding, canonicalization,
+// the cache key and the cached body's write. Its allocs/op is the
+// per-request allocation every hit pays.
+func BenchmarkEvaluateHit(b *testing.B) {
+	s := New(Config{})
+	const body = `{"family":"zero","model":"megatron-2.5B","gpus":512,"batch":4,"mp":4,"ckpt":true}`
+	hit := func() {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	hit() // the miss that fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
 	}
 }

@@ -558,6 +558,27 @@ func TestGlobalBatchOverflowIs422(t *testing.T) {
 	}
 }
 
+// TestClusterNodeOverflowIs400: a node count whose device product
+// overflows int is an invalid request (400 naming the overflow) on both
+// evaluation endpoints, not a 200 verdict about a wrapped-around device
+// count.
+func TestClusterNodeOverflowIs400(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, nodes := range []string{"4611686018427387904", "4611686018427387905", "9223372036854775807"} {
+		for _, path := range []string{"/v1/evaluate", "/v1/feasibility"} {
+			probe := `{"family":"karma-dp","model":"megatron-0.3B","gpus":8,"batch":8,"cluster":{"nodes":` + nodes + `}}`
+			code, body := post(t, s, path, probe)
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s with %s nodes = %d: %s, want 400", path, nodes, code, body)
+			}
+			var e apiError
+			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "overflows the device count") {
+				t.Errorf("%s with %s nodes: body %s, want a JSON error naming the overflow (%v)", path, nodes, body, err)
+			}
+		}
+	}
+}
+
 // TestEvaluatePanicContained: a configuration whose evaluation panics
 // (a batch large enough to overflow a transfer size) answers 500 with a
 // JSON error instead of killing the daemon, is not cached — a retry

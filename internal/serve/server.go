@@ -391,8 +391,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, endpoint str
 		writeError(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	cfg, err := req.config()
-	if err != nil {
+	if _, err := req.config(); err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -403,7 +402,15 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, endpoint str
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
+	// The closure captures only the canonical request and rebuilds its
+	// Config on a miss (config is idempotent on a canonical request): a
+	// captured Config would be copied to the heap on every request,
+	// cache hits included.
 	body, code, err := s.compute(ctx, endpoint, key, func() (any, error) {
+		cfg, err := req.config()
+		if err != nil {
+			return nil, err
+		}
 		res, err := cfg.Eval(s.evals[req.Backend])
 		if err != nil {
 			return nil, err

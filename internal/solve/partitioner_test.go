@@ -152,32 +152,45 @@ func randWeights(r *rand.Rand, n int) []float64 {
 	return w
 }
 
-// checkSpans fails unless the memo's spans are non-empty, sorted and
-// pairwise disjoint.
+// checkSpans fails unless the recorded spans are sorted, pairwise
+// disjoint and of non-increasing count, each holding its count.
 func checkSpans(t *testing.T, pt *Partitioner) {
 	t.Helper()
 	for i, s := range pt.spans {
-		if !(s.lo < s.hi) || (i > 0 && pt.spans[i-1].hi > s.lo) {
+		if !(s.lo < s.hi) || (i > 0 && (pt.spans[i-1].hi > s.lo || pt.spans[i-1].count < s.count)) {
 			t.Fatalf("spans out of order at %d: %+v", i, pt.spans)
 		}
+		checkSpan(t, pt.w, s)
 	}
 }
 
-// TestPartitionerMatchesBisection pins the span memo to the reference:
-// every k, queried in shuffled order on one Partitioner, yields the
-// reference's cuts, and count equals a plain greedy scan at random caps
-// and at caps exactly equal to sequential sub-range sums — the values
-// span endpoints take, which bisection probes almost never hit.
+// checkSpan fails unless a plain greedy scan needs s.count groups at
+// both finite ends of s; as the count never grows with the cap, it
+// needs that many everywhere between.
+func checkSpan(t *testing.T, w []float64, s span) {
+	t.Helper()
+	if !math.IsInf(s.lo, -1) && greedyCount(w, s.lo) != s.count {
+		t.Fatalf("span %+v: scan at its start needs %d groups", s, greedyCount(w, s.lo))
+	}
+	if last := math.Nextafter(s.hi, math.Inf(-1)); !math.IsInf(s.hi, 1) && greedyCount(w, last) != s.count {
+		t.Fatalf("span %+v: scan at its end needs %d groups", s, greedyCount(w, last))
+	}
+}
+
+// TestPartitionerMatchesBisection pins the bracketed bisection to the
+// reference: every k, queried in shuffled order on one Partitioner,
+// yields the reference's cuts, and the span a scan reports holds its cap
+// and its count, at random caps and at caps exactly equal to sequential
+// sub-range sums — the values span endpoints take, which bisection
+// probes almost never hit.
 func TestPartitionerMatchesBisection(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 17, 40, 64, 160, 400, 1000}
 	r := rand.New(rand.NewSource(1))
 	for _, n := range sizes {
-		// Cut emission's leftover split is quadratic in k, so the longest
-		// vectors get fewer draws.
+		// Every size gets the full draws, -short a third of them. The
+		// reference's leftover split is quadratic in k, which keeps the
+		// longest vectors the bulk of the run time.
 		vectors := 12
-		if n > 160 {
-			vectors = 3
-		}
 		if testing.Short() {
 			vectors = (vectors + 2) / 3
 		}
@@ -198,7 +211,7 @@ func TestPartitionerMatchesBisection(t *testing.T) {
 			}
 			checkSpans(t, pt)
 
-			// count against the scan on a fresh memo, at shuffled caps.
+			// Scanned spans against the plain scan, at shuffled caps.
 			var caps []float64
 			if n <= 64 {
 				for i := 0; i < n; i++ {
@@ -223,13 +236,13 @@ func TestPartitionerMatchesBisection(t *testing.T) {
 				caps = append(caps, math.Nextafter(caps[i], math.Inf(-1)), r.Float64()*ref.total*1.1)
 			}
 			r.Shuffle(len(caps), func(i, j int) { caps[i], caps[j] = caps[j], caps[i] })
-			fresh, _ := NewPartitioner(w)
 			for _, c := range caps {
-				if got, want := fresh.count(c), greedyCount(w, c); got != want {
-					t.Fatalf("n=%d vec %d: count(%v) = %d, scan = %d", n, v, c, got, want)
+				s := pt.scan(c)
+				if !(s.lo <= c && c < s.hi) || s.count != greedyCount(w, c) {
+					t.Fatalf("n=%d vec %d: scan(%v) = %+v, plain scan needs %d", n, v, c, s, greedyCount(w, c))
 				}
+				checkSpan(t, w, s)
 			}
-			checkSpans(t, fresh)
 		}
 	}
 }
@@ -250,7 +263,8 @@ func decodeWeights(data []byte) []float64 {
 
 // FuzzPartitioner checks, for decoded weight vectors, that the cuts equal
 // the reference's for every k, and that the greedy count never grows
-// with the cap (the property the gap rule rests on) and equals count.
+// with the cap (the property the bisection bracket rests on) and equals
+// the count of the span scan reports, which holds the cap.
 func FuzzPartitioner(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := decodeWeights(data)
@@ -285,8 +299,8 @@ func FuzzPartitioner(f *testing.F) {
 				t.Fatalf("greedy count grows with the cap: %d at %v after %d", g, c, prev)
 			}
 			prev = g
-			if got := pt.count(c); got != g {
-				t.Fatalf("count(%v) = %d, scan = %d", c, got, g)
+			if s := pt.scan(c); !(s.lo <= c && c < s.hi) || s.count != g {
+				t.Fatalf("scan(%v) = %+v, plain scan needs %d", c, s, g)
 			}
 		}
 	})
@@ -295,8 +309,9 @@ func FuzzPartitioner(f *testing.F) {
 // BenchmarkPartitioner times the partition search over a seeded
 // 160-weight vector, the block count of a Fig. 5 ResNet-1001 profile:
 // sweep partitions it into every k in 1..64 on one fresh Partitioner (the
-// shape of the KARMA k-enumeration and the checkpoint run-count scan);
-// oneshot is one BalancedPartition call per iteration.
+// shape of the KARMA k-enumeration); runs into every k from n-1 down to
+// 1 (the checkpoint run-count scan); oneshot is one BalancedPartition
+// call per iteration.
 func BenchmarkPartitioner(b *testing.B) {
 	r := rand.New(rand.NewSource(160))
 	w := make([]float64, 160)
@@ -312,6 +327,21 @@ func BenchmarkPartitioner(b *testing.B) {
 				b.Fatal(err)
 			}
 			for k := 1; k <= 64; k++ {
+				if cuts, err = pt.AppendCuts(cuts[:0], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("runs", func(b *testing.B) {
+		b.ReportAllocs()
+		var cuts []int
+		for i := 0; i < b.N; i++ {
+			pt, err := NewPartitioner(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := len(w) - 1; k >= 1; k-- {
 				if cuts, err = pt.AppendCuts(cuts[:0], k); err != nil {
 					b.Fatal(err)
 				}

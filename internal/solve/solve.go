@@ -67,19 +67,26 @@ func BalancedPartition(w []float64, k int) ([]int, error) {
 // [max extending s, min breaking s) makes the same comparisons come out
 // the same way, so the scan takes the same path and yields the same
 // count there. The Partitioner records that half-open span per scan, in
-// a slice sorted by position (spans of different paths are disjoint),
-// and answers any later probe inside a span with a binary search. The
-// count never grows with the cap — also in float arithmetic, since the
-// weights are finite and non-negative and rounding is monotone — so a
-// probe in the gap between two spans of equal count takes that count
-// too. Only the remaining probes scan the chain. Every probe therefore
-// gets the answer a fresh scan would give, and cut positions are
-// bit-identical to a scan per probe.
+// a slice sorted by position (spans of different paths are disjoint).
+// The count never grows with the cap — also in float arithmetic, since
+// the weights are finite and non-negative and rounding is monotone — so
+// the spans bracket each bisection before it starts: every cap below
+// the end of the last span needing more than k groups needs more than
+// k, and every cap from the start of the first span needing at most k
+// on needs at most k. A probe outside the bracket takes that answer; a
+// probe inside scans the chain, records its span and narrows the
+// bracket to it. Every probe therefore gets the answer a fresh scan
+// would give, and cut positions are bit-identical to a scan per probe.
+//
+// Once the spans are warm, a call costs O(n + k log k) — the cut
+// emission pass and the heap-ordered leftover split — plus one walk
+// over each group the split divides.
 type Partitioner struct {
 	w           []float64
 	total, maxw float64
-	spans       []span  // sorted, disjoint; see count
-	groups      []group // scratch for the leftover-split phase
+	spans       []span  // sorted, disjoint, counts non-increasing
+	heap        []group // scratch: the splittable groups of the leftover split
+	marks       []bool  // scratch: the cut positions of the leftover split
 }
 
 // span is the cap interval [lo, hi) over which the greedy scan takes one
@@ -114,23 +121,9 @@ func NewPartitioner(w []float64) (*Partitioner, error) {
 	return pt, nil
 }
 
-// count returns the number of groups the greedy split needs under cap.
-func (pt *Partitioner) count(cap float64) int {
-	// Every running sum is at most the full left-to-right sum, so no scan
-	// breaks at or above it. Answering here also keeps the spans finite
-	// when an overflowing bisection midpoint probes +Inf.
-	if cap >= pt.total {
-		return 1
-	}
-	// spans[i] is the first span ending above cap: it holds cap or lies
-	// wholly above it, and every span before it lies wholly below.
-	spans := pt.spans
-	i := sort.Search(len(spans), func(h int) bool { return spans[h].hi > cap })
-	// A cap between two spans of equal count needs that count too, as the
-	// count never grows with the cap.
-	if i < len(spans) && (spans[i].lo <= cap || i > 0 && spans[i-1].count == spans[i].count) {
-		return spans[i].count
-	}
+// scan runs the greedy split at cap and returns the span of caps over
+// which it takes the same path, with the number of groups it needs.
+func (pt *Partitioner) scan(cap float64) span {
 	groups, sum := 1, 0.0
 	lo, hi := math.Inf(-1), math.Inf(1)
 	for _, v := range pt.w {
@@ -147,8 +140,7 @@ func (pt *Partitioner) count(cap float64) int {
 			}
 		}
 	}
-	pt.spans = slices.Insert(spans, i, span{lo, hi, groups})
-	return groups
+	return span{lo, hi, groups}
 }
 
 // Cuts returns the k-1 cut positions of the balanced k-way partition;
@@ -168,16 +160,40 @@ func (pt *Partitioner) AppendCuts(dst []int, k int) ([]int, error) {
 		return nil, fmt.Errorf("solve: k=%d out of range [1,%d]", k, n)
 	}
 	// Binary search the smallest cap for which a greedy split needs <= k
-	// groups.
+	// groups. spans[j] is the first span needing at most k: caps below
+	// the end of spans[j-1] need more, and caps from the start of
+	// spans[j] on (from total on, as no running sum exceeds the full
+	// left-to-right sum) need at most k. A probe between them scans, and
+	// its span goes in at j, between the two.
+	spans := pt.spans
+	j := sort.Search(len(spans), func(h int) bool { return spans[h].count <= k })
+	below, atOrAbove := math.Inf(-1), pt.total
+	if j > 0 {
+		below = spans[j-1].hi
+	}
+	if j < len(spans) {
+		atOrAbove = spans[j].lo
+	}
 	lo, hi := pt.maxw, pt.total
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if pt.count(mid) <= k {
+		switch {
+		case mid >= atOrAbove:
 			hi = mid
-		} else {
+		case mid < below:
 			lo = mid
+		default:
+			s := pt.scan(mid)
+			spans = slices.Insert(spans, j, s)
+			if s.count <= k {
+				hi, atOrAbove = mid, s.lo
+			} else {
+				lo, below = mid, s.hi
+				j++
+			}
 		}
 	}
+	pt.spans = spans
 	// Emit cuts for cap=hi, then spread any leftover group budget by
 	// splitting the largest remaining groups to reach exactly k.
 	base := len(dst)
@@ -194,12 +210,22 @@ func (pt *Partitioner) AppendCuts(dst []int, k int) ([]int, error) {
 	if len(cuts)-base == k-1 {
 		return cuts, nil
 	}
-	// Split the largest remaining groups at their weighted midpoints until
-	// exactly k. Group sums are computed fresh left-to-right whenever a
-	// group is created — the same additions in the same order as a rescan
-	// of the group, so cut positions are bit-identical to recomputing every
-	// sum per split — and carried between iterations so each split costs
-	// O(group) instead of O(n) plus a sort.
+	return pt.split(cuts, base, k), nil
+}
+
+// split grows the greedy groups cut at cuts[base:] to exactly k by
+// splitting, one at a time, the splittable group with the largest sum
+// (the leftmost on ties) at its weighted midpoint, and returns the cuts
+// in position order. A group's sum is computed fresh left to right when
+// it is created, the same additions in the same order as a rescan, so
+// the cut positions are bit-identical to recomputing every sum per
+// split. The splittable groups wait in a heap and the cut positions in
+// a mark per position, so a split costs O(log k) plus a walk over its
+// group. As k <= n, a splittable group remains while there are fewer
+// than k groups.
+func (pt *Partitioner) split(cuts []int, base, k int) []int {
+	w := pt.w
+	n := len(w)
 	sumOf := func(a, b int) float64 {
 		s := 0.0
 		for j := a; j < b; j++ {
@@ -207,44 +233,92 @@ func (pt *Partitioner) AppendCuts(dst []int, k int) ([]int, error) {
 		}
 		return s
 	}
-	groups := pt.groups[:0]
-	start := 0
-	for _, c := range cuts[base:] {
-		groups = append(groups, group{start, c, sumOf(start, c)})
-		start = c
+	if pt.marks == nil {
+		pt.marks = make([]bool, n)
 	}
-	groups = append(groups, group{start, n, sumOf(start, n)})
-	for len(groups) < k {
-		bi, bsum := -1, -1.0
-		for i, g := range groups {
-			if g.end-g.start < 2 {
-				continue
-			}
-			if g.sum > bsum {
-				bsum, bi = g.sum, i
-			}
+	marks := pt.marks
+	h := pt.heap[:0]
+	start := 0
+	for i := base; i <= len(cuts); i++ {
+		end := n
+		if i < len(cuts) {
+			end = cuts[i]
+			marks[end] = true
 		}
-		if bi < 0 {
-			pt.groups = groups
-			return nil, fmt.Errorf("solve: cannot split %d items into %d groups", n, k)
+		if end-start >= 2 {
+			h = append(h, group{start, end, sumOf(start, end)})
 		}
-		g := groups[bi]
+		start = end
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for groups := len(cuts) - base + 1; groups < k; groups++ {
+		g := h[0]
 		half, s := g.start+1, w[g.start]
-		for half < g.end-1 && s < bsum/2 {
+		for half < g.end-1 && s < g.sum/2 {
 			s += w[half]
 			half++
 		}
-		groups = append(groups, group{})
-		copy(groups[bi+1:], groups[bi:])
-		groups[bi] = group{g.start, half, sumOf(g.start, half)}
-		groups[bi+1] = group{half, g.end, sumOf(half, g.end)}
+		marks[half] = true
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, 0)
+		for _, c := range [2]group{{g.start, half, 0}, {half, g.end, 0}} {
+			if c.end-c.start >= 2 {
+				c.sum = sumOf(c.start, c.end)
+				h = siftUp(append(h, c))
+			}
+		}
 	}
-	pt.groups = groups
+	pt.heap = h
 	cuts = cuts[:base]
-	for _, g := range groups[1:] {
-		cuts = append(cuts, g.start)
+	for i, m := range marks {
+		if m {
+			cuts = append(cuts, i)
+			marks[i] = false
+		}
 	}
-	return cuts, nil
+	return cuts
+}
+
+// splitsBefore reports whether group a is split before group b: the
+// larger sum first, the leftmost on ties — the group a left-to-right
+// scan for the first strictly largest sum picks.
+func splitsBefore(a, b group) bool {
+	return a.sum > b.sum || a.sum == b.sum && a.start < b.start
+}
+
+// siftDown restores the heap order of h below position i.
+func siftDown(h []group, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && splitsBefore(h[c+1], h[c]) {
+			c++
+		}
+		if !splitsBefore(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// siftUp restores the heap order of h after an append and returns h.
+func siftUp(h []group) []group {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !splitsBefore(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
 }
 
 // HillClimb locally refines cut positions against eval (lower is better).
