@@ -55,25 +55,28 @@ type Result struct {
 	BwdTrace     []karma.BlockTrace
 }
 
-// Run executes a method against a profile.
+// Run executes a method against a profile. Every method lowers,
+// compiles and simulates on one pooled plan.Scratch; the Result keeps
+// only scalars and a BwdTrace of its own, never scratch memory.
 func Run(m Method, p *profiler.Profile) (*Result, error) {
+	if m == KARMA || m == KARMARecompute {
+		// The planner's Opt-2 search takes its own pooled scratch; taking
+		// this one only once it is handed back keeps one scratch busy.
+		return runKARMA(p, m)
+	}
+	sc := plan.GetScratch()
+	defer plan.PutScratch(sc)
 	switch m {
 	case InCore:
-		return runInCore(p)
+		return runInCore(sc, p)
 	case VDNNPP:
-		return runSwapper(p, VDNNPP, 1, nil)
+		return runSwapper(sc, p, VDNNPP, 1)
 	case OocCuDNN:
-		return runSwapper(p, OocCuDNN, 0, nil)
+		return runSwapper(sc, p, OocCuDNN, 0)
 	case SuperNeurons:
-		return runSuperNeurons(p)
-	case Checkmate:
-		return runRecompute(p, Checkmate)
-	case GradCkpt:
-		return runRecompute(p, GradCkpt)
-	case KARMA:
-		return runKARMA(p, true)
-	case KARMARecompute:
-		return runKARMA(p, false)
+		return runSuperNeurons(sc, p)
+	case Checkmate, GradCkpt:
+		return runRecompute(sc, p, m)
 	default:
 		return nil, fmt.Errorf("baseline: unknown method %q", m)
 	}
@@ -83,39 +86,23 @@ func infeasible(m Method, reason string) *Result {
 	return &Result{Method: m, Feasible: false, Reason: reason}
 }
 
-// fromReport converts a simulated karma report.
-func fromReport(m Method, rep *karma.Report) *Result {
-	return &Result{
-		Method:       m,
-		Feasible:     true,
-		IterTime:     rep.IterTime,
-		Throughput:   rep.Throughput,
-		Occupancy:    rep.Occupancy,
-		ComputeStall: rep.ComputeStall,
-		PeakMem:      rep.PeakMem,
-		BwdTrace:     rep.BwdTrace,
+// runKARMA dispatches to the core planner and simulates its schedule
+// like any other method's plan.
+func runKARMA(p *profiler.Profile, m Method) (*Result, error) {
+	s, err := karma.Plan(p, karma.Options{DisableRecompute: m == KARMA})
+	sc := plan.GetScratch()
+	defer plan.PutScratch(sc)
+	if err == nil {
+		_, err = karma.BuildPlanWith(&sc.Builder, s)
 	}
-}
-
-// runKARMA dispatches to the core planner.
-func runKARMA(p *profiler.Profile, disableRecompute bool) (*Result, error) {
-	m := KARMARecompute
-	if disableRecompute {
-		m = KARMA
-	}
-	s, err := karma.Plan(p, karma.Options{DisableRecompute: disableRecompute})
 	if err != nil {
 		return infeasible(m, err.Error()), nil
 	}
-	rep, err := karma.Simulate(s)
-	if err != nil {
-		return infeasible(m, err.Error()), nil
-	}
-	return fromReport(m, rep), nil
+	return simulate(sc, m, s.Budget, p)
 }
 
 // runInCore is conventional training: feasible only when everything fits.
-func runInCore(p *profiler.Profile) (*Result, error) {
+func runInCore(sc *plan.Scratch, p *profiler.Profile) (*Result, error) {
 	if !p.FitsInCore() {
 		return infeasible(InCore, fmt.Sprintf("footprint %v exceeds usable %v",
 			p.InCoreBytes(), p.Node.Device.UsableMem())), nil
@@ -124,18 +111,29 @@ func runInCore(p *profiler.Profile) (*Result, error) {
 	if err != nil {
 		return infeasible(InCore, err.Error()), nil
 	}
-	pl := &plan.Plan{Name: "in-core/" + p.Graph.Name(), NumBlocks: len(p.Blocks)}
-	for i, b := range p.Blocks {
-		pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-			Kind: plan.Fwd, Block: i, Duration: b.FwdTime, Alloc: b.ActBytes,
-		}}})
+	bld := sc.Builder.Reset("in-core/"+p.Graph.Name(), len(p.Blocks))
+	for i := range p.Blocks {
+		bld.Stage(plan.Op{Kind: plan.Fwd, Block: i, Duration: p.Blocks[i].FwdTime, Alloc: p.Blocks[i].ActBytes})
 	}
 	for i := len(p.Blocks) - 1; i >= 0; i-- {
-		pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-			Kind: plan.Bwd, Block: i, Duration: p.Blocks[i].BwdTime, Free: p.Blocks[i].ActBytes,
-		}}})
+		bld.Stage(plan.Op{Kind: plan.Bwd, Block: i, Duration: p.Blocks[i].BwdTime, Free: p.Blocks[i].ActBytes})
 	}
-	return simulate(InCore, pl, budget, p)
+	return simulate(sc, InCore, budget, p)
+}
+
+// workingSet is the eager methods' feasibility floor: every block's
+// activations must fit the budget together with its successor's.
+func workingSet(p *profiler.Profile, budget unit.Bytes) error {
+	for i := range p.Blocks {
+		need := p.Blocks[i].ActBytes
+		if i+1 < len(p.Blocks) {
+			need += p.Blocks[i+1].ActBytes
+		}
+		if need > budget {
+			return fmt.Errorf("working set %v exceeds budget %v", need, budget)
+		}
+	}
+	return nil
 }
 
 // runSwapper implements the eager virtualization family (§II-A1):
@@ -143,105 +141,54 @@ func runInCore(p *profiler.Profile) (*Result, error) {
 // one, the Fig. 2a inefficiency — and swaps back in during backward with
 // the given prefetch lookahead (1 block for vDNN++, 0 for ooc_cuDNN,
 // which applies no prefetching).
-//
-// extraPolicy optionally overrides the policy per block (SuperNeurons).
-func runSwapper(p *profiler.Profile, m Method, lookahead int, policy []karma.Policy) (*Result, error) {
+func runSwapper(sc *plan.Scratch, p *profiler.Profile, m Method, lookahead int) (*Result, error) {
 	budget, err := karma.BudgetFor(p, 0.05)
+	if err == nil {
+		err = workingSet(p, budget)
+	}
 	if err != nil {
 		return infeasible(m, err.Error()), nil
 	}
 	n := len(p.Blocks)
-	if policy == nil {
-		policy = make([]karma.Policy, n)
-		for i := range policy {
-			policy[i] = karma.Swap
-		}
+	bld := sc.Builder.Reset(string(m)+"/"+p.Graph.Name(), n)
+	swapOut := func(b int) plan.Op {
+		return plan.Op{Kind: plan.SwapOut, Block: b, Duration: p.Blocks[b].SwapTime, Free: p.Blocks[b].ActBytes}
 	}
-	// Recomputed blocks pin their input boundary as a checkpoint.
-	for i, pol := range policy {
-		if pol == karma.Recompute && i > 0 {
-			budget -= p.Blocks[i-1].OutBytes
-		}
+	swapIn := func(b int) plan.Op {
+		return plan.Op{Kind: plan.SwapIn, Block: b, Duration: p.Blocks[b].SwapTime, Alloc: p.Blocks[b].ActBytes}
 	}
-	if budget <= 0 {
-		return infeasible(m, "recompute checkpoints exceed device budget"), nil
-	}
-	// Feasibility floor: the largest adjacent working set must fit.
-	for i := 0; i < n; i++ {
-		need := p.Blocks[i].ActBytes
-		if i+1 < n {
-			need += p.Blocks[i+1].ActBytes
-		}
-		if need > budget {
-			return infeasible(m, fmt.Sprintf("working set %v exceeds budget %v", need, budget)), nil
-		}
-	}
-
-	pl := &plan.Plan{Name: string(m) + "/" + p.Graph.Name(), NumBlocks: n}
 	// Forward: F_b plus eager swap-out of the previous block.
 	for b := 0; b < n; b++ {
-		st := plan.Stage{Ops: []plan.Op{{
-			Kind: plan.Fwd, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes,
-		}}}
+		bld.BeginStage()
+		bld.Add(plan.Op{Kind: plan.Fwd, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes})
 		if b > 0 {
-			st.Ops = append(st.Ops, swapOutOp(p, b-1, policy[b-1])...)
+			bld.Add(swapOut(b - 1))
 		}
-		pl.Stages = append(pl.Stages, st)
+		bld.EndStage()
 	}
 	// Eager family flaw: the last block also swaps out, then must return
 	// before its backward can begin.
-	pl.Stages = append(pl.Stages, plan.Stage{Ops: swapOutOp(p, n-1, policy[n-1])})
+	bld.Stage(swapOut(n - 1))
 
 	// Backward with fixed lookahead prefetch. The last block was eagerly
 	// swapped out, so it must come back synchronously first — the Fig. 2a
 	// forward→backward stall of the eager family.
-	swapIn := func(b int) []plan.Op {
-		if b < 0 || policy[b] != karma.Swap {
-			return nil
-		}
-		return []plan.Op{{
-			Kind: plan.SwapIn, Block: b, Duration: p.Blocks[b].SwapTime, Alloc: p.Blocks[b].ActBytes,
-		}}
-	}
-	pl.Stages = append(pl.Stages, plan.Stage{Ops: swapIn(n - 1)})
+	bld.Stage(swapIn(n - 1))
 	for b := n - 1; b >= 0; b-- {
-		if policy[b] == karma.Recompute {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-				Kind: plan.Recompute, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes,
-			}}})
-		}
-		st := plan.Stage{}
+		bld.BeginStage()
 		if lookahead == 0 && b < n-1 {
 			// No prefetch: the fetch launches only when the backward
 			// reaches the block, fully exposing the transfer.
-			st.Ops = append(st.Ops, swapIn(b)...)
+			bld.Add(swapIn(b))
 		}
-		st.Ops = append(st.Ops, plan.Op{
-			Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes,
-		})
-		if lookahead > 0 {
+		bld.Add(plan.Op{Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes})
+		if lookahead > 0 && b-lookahead >= 0 {
 			// Prefetch the block consumed `lookahead` steps later.
-			st.Ops = append(st.Ops, swapIn(b-lookahead)...)
+			bld.Add(swapIn(b - lookahead))
 		}
-		pl.Stages = append(pl.Stages, st)
+		bld.EndStage()
 	}
-	return simulate(m, pl, budget, p)
-}
-
-// swapOutOp emits the post-forward treatment of a block: swap-out for
-// Swap policy, immediate drop for Recompute, nothing for Keep.
-func swapOutOp(p *profiler.Profile, b int, pol karma.Policy) []plan.Op {
-	switch pol {
-	case karma.Swap:
-		return []plan.Op{{
-			Kind: plan.SwapOut, Block: b, Duration: p.Blocks[b].SwapTime, Free: p.Blocks[b].ActBytes,
-		}}
-	case karma.Recompute:
-		// Dropping is free; model as a zero-duration swap-out.
-		return []plan.Op{{Kind: plan.SwapOut, Block: b, Free: p.Blocks[b].ActBytes}}
-	default:
-		return nil
-	}
+	return simulate(sc, m, budget, p)
 }
 
 // runSuperNeurons mixes swapping and recompute by layer *type* (§II-A3):
@@ -250,8 +197,11 @@ func swapOutOp(p *profiler.Profile, b int, pol karma.Policy) []plan.Op {
 // backward. The split is per layer type, not per cost model, and there is
 // no capacity-based residency — the sources of its spread-out stalls in
 // Fig. 6.
-func runSuperNeurons(p *profiler.Profile) (*Result, error) {
+func runSuperNeurons(sc *plan.Scratch, p *profiler.Profile) (*Result, error) {
 	budget, err := karma.BudgetFor(p, 0.05)
+	if err == nil {
+		err = workingSet(p, budget)
+	}
 	if err != nil {
 		return infeasible(SuperNeurons, err.Error()), nil
 	}
@@ -265,7 +215,8 @@ func runSuperNeurons(p *profiler.Profile) (*Result, error) {
 	// cost of the cheap layers (recomputed).
 	swapBytes := make([]unit.Bytes, n)
 	cheapTime := make([]unit.Seconds, n)
-	for i, b := range p.Blocks {
+	for i := range p.Blocks {
+		b := &p.Blocks[i]
 		var heavyElems int64
 		var cheapFLOPs int64
 		for _, id := range b.Seg.Nodes {
@@ -285,64 +236,48 @@ func runSuperNeurons(p *profiler.Profile) (*Result, error) {
 		swapBytes[i] = sb
 		cheapTime[i] = unit.ComputeTime(unit.FLOPs(cheapFLOPs*batch), rate)
 	}
-	for i := 0; i < n; i++ {
-		need := p.Blocks[i].ActBytes
-		if i+1 < n {
-			need += p.Blocks[i+1].ActBytes
-		}
-		if need > budget {
-			return infeasible(SuperNeurons, fmt.Sprintf("working set %v exceeds budget %v", need, budget)), nil
-		}
-	}
 
-	pl := &plan.Plan{Name: "superneurons/" + p.Graph.Name(), NumBlocks: n}
+	bld := sc.Builder.Reset("superneurons/"+p.Graph.Name(), n)
 	move := func(b int) unit.Seconds {
 		return unit.TransferTime(swapBytes[b], swapBW, p.Node.Link.Latency)
+	}
+	swapOut := func(b int) plan.Op {
+		return plan.Op{Kind: plan.SwapOut, Block: b, Duration: move(b), Free: p.Blocks[b].ActBytes}
+	}
+	swapIn := func(b int) plan.Op {
+		return plan.Op{Kind: plan.SwapIn, Block: b, Duration: move(b), Alloc: swapBytes[b]}
 	}
 	// Forward: eager treatment after each block — heavy outputs swap out,
 	// the remainder drops for recompute.
 	for b := 0; b < n; b++ {
-		st := plan.Stage{Ops: []plan.Op{{
-			Kind: plan.Fwd, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes,
-		}}}
+		bld.BeginStage()
+		bld.Add(plan.Op{Kind: plan.Fwd, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes})
 		if b > 0 {
-			st.Ops = append(st.Ops, plan.Op{
-				Kind: plan.SwapOut, Block: b - 1,
-				Duration: move(b - 1),
-				Free:     p.Blocks[b-1].ActBytes,
-			})
+			bld.Add(swapOut(b - 1))
 		}
-		pl.Stages = append(pl.Stages, st)
+		bld.EndStage()
 	}
-	pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-		Kind: plan.SwapOut, Block: n - 1, Duration: move(n - 1), Free: p.Blocks[n-1].ActBytes,
-	}}})
+	bld.Stage(swapOut(n - 1))
 
 	// Backward: one-block-ahead prefetch of the heavy payload, cheap
 	// recompute in line, like the SuperNeurons runtime.
-	swapIn := func(b int) plan.Op {
-		return plan.Op{
-			Kind: plan.SwapIn, Block: b, Duration: move(b), Alloc: swapBytes[b],
-		}
-	}
-	pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{swapIn(n - 1)}})
+	bld.Stage(swapIn(n - 1))
 	for b := n - 1; b >= 0; b-- {
 		if cheapTime[b] > 0 || p.Blocks[b].ActBytes > swapBytes[b] {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
+			bld.Stage(plan.Op{
 				Kind: plan.Recompute, Block: b,
 				Duration: cheapTime[b],
 				Alloc:    p.Blocks[b].ActBytes - swapBytes[b],
-			}}})
+			})
 		}
-		st := plan.Stage{Ops: []plan.Op{{
-			Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes,
-		}}}
+		bld.BeginStage()
+		bld.Add(plan.Op{Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes})
 		if b-1 >= 0 {
-			st.Ops = append(st.Ops, swapIn(b-1))
+			bld.Add(swapIn(b - 1))
 		}
-		pl.Stages = append(pl.Stages, st)
+		bld.EndStage()
 	}
-	return simulate(SuperNeurons, pl, budget, p)
+	return simulate(sc, SuperNeurons, budget, p)
 }
 
 // runRecompute implements the pure rematerialization family (§II-A2):
@@ -353,7 +288,7 @@ func runSuperNeurons(p *profiler.Profile) (*Result, error) {
 // Table I). GradCkpt uses the canonical sqrt(N) segment count; Checkmate
 // ("optimal rematerialization") sweeps the segment count and keeps the
 // fastest feasible schedule.
-func runRecompute(p *profiler.Profile, m Method) (*Result, error) {
+func runRecompute(sc *plan.Scratch, p *profiler.Profile, m Method) (*Result, error) {
 	budget, err := karma.BudgetFor(p, 0.05)
 	if err != nil {
 		return infeasible(m, err.Error()), nil
@@ -365,7 +300,7 @@ func runRecompute(p *profiler.Profile, m Method) (*Result, error) {
 	}
 
 	if m == GradCkpt {
-		r, err := recomputeWithSegments(p, m, sqrtN, budget)
+		r, err := recomputeWithSegments(sc, p, m, sqrtN, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +332,7 @@ func runRecompute(p *profiler.Profile, m Method) (*Result, error) {
 	if bestK < 0 {
 		return infeasible(m, "no feasible checkpoint segmentation"), nil
 	}
-	return recomputeWithSegments(p, m, bestK, budget)
+	return recomputeWithSegments(sc, p, m, bestK, budget)
 }
 
 // checkmateSweep is the reusable candidate-costing state of the
@@ -515,8 +450,8 @@ func (sw *checkmateSweep) iterTime(k int) (unit.Seconds, bool) {
 }
 
 // recomputeWithSegments builds and simulates a k-segment checkpointing
-// plan.
-func recomputeWithSegments(p *profiler.Profile, m Method, k int, budget unit.Bytes) (*Result, error) {
+// plan on the scratch.
+func recomputeWithSegments(sc *plan.Scratch, p *profiler.Profile, m Method, k int, budget unit.Bytes) (*Result, error) {
 	n := len(p.Blocks)
 	weights := make([]float64, n)
 	for i, b := range p.Blocks {
@@ -546,7 +481,7 @@ func recomputeWithSegments(p *profiler.Profile, m Method, k int, budget unit.Byt
 		return s
 	}
 
-	pl := &plan.Plan{Name: fmt.Sprintf("%s-k%d/%s", m, k, p.Graph.Name()), NumBlocks: n}
+	bld := sc.Builder.Reset(fmt.Sprintf("%s-k%d/%s", m, k, p.Graph.Name()), n)
 	// Forward: segment acts live until the next segment's first forward.
 	for si, r := range rs {
 		for b := r[0]; b < r[1]; b++ {
@@ -554,7 +489,7 @@ func recomputeWithSegments(p *profiler.Profile, m Method, k int, budget unit.Byt
 			if b == r[0] && si > 0 {
 				op.Free = segAct(rs[si-1])
 			}
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{op}})
+			bld.Stage(op)
 		}
 	}
 	// Backward: the last segment kept its activations; earlier segments
@@ -563,23 +498,20 @@ func recomputeWithSegments(p *profiler.Profile, m Method, k int, budget unit.Byt
 		r := rs[si]
 		if si < len(rs)-1 {
 			for b := r[0]; b < r[1]; b++ {
-				pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-					Kind: plan.Recompute, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes,
-				}}})
+				bld.Stage(plan.Op{Kind: plan.Recompute, Block: b, Duration: p.Blocks[b].FwdTime, Alloc: p.Blocks[b].ActBytes})
 			}
 		}
 		for b := r[1] - 1; b >= r[0]; b-- {
-			pl.Stages = append(pl.Stages, plan.Stage{Ops: []plan.Op{{
-				Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes,
-			}}})
+			bld.Stage(plan.Op{Kind: plan.Bwd, Block: b, Duration: p.Blocks[b].BwdTime, Free: p.Blocks[b].ActBytes})
 		}
 	}
-	return simulate(m, pl, avail, p)
+	return simulate(sc, m, avail, p)
 }
 
-// simulate runs a lowered plan and packages the result.
-func simulate(m Method, pl *plan.Plan, budget unit.Bytes, p *profiler.Profile) (*Result, error) {
-	c, tl, err := pl.Simulate(budget)
+// simulate runs the plan assembled in the scratch's builder against the
+// budget and packages the result, which keeps nothing of the scratch.
+func simulate(sc *plan.Scratch, m Method, budget unit.Bytes, p *profiler.Profile) (*Result, error) {
+	c, tl, err := sc.Simulate(sc.Builder.Plan(), budget)
 	if err != nil {
 		return infeasible(m, err.Error()), nil
 	}

@@ -7,6 +7,7 @@ import (
 	"karma/internal/hw"
 	"karma/internal/karma"
 	"karma/internal/model"
+	"karma/internal/plan"
 	"karma/internal/profiler"
 	"karma/internal/unit"
 )
@@ -37,6 +38,7 @@ func TestCheckmateScanMatchesSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	node := hw.ABCINode()
 	var cases, feasible int
+	sc := new(plan.Scratch)
 	for _, w := range fig5Models {
 		g, err := model.Build(w.name)
 		if err != nil {
@@ -60,7 +62,7 @@ func TestCheckmateScanMatchesSimulation(t *testing.T) {
 				}
 				for k := 1; k <= len(p.Blocks) && k <= 48; k++ {
 					gotT, gotOK := sw.iterTime(k)
-					want, err := recomputeWithSegments(p, Checkmate, k, budget)
+					want, err := recomputeWithSegments(sc, p, Checkmate, k, budget)
 					if err != nil {
 						t.Fatal(err)
 					}

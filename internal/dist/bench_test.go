@@ -68,7 +68,7 @@ func BenchmarkHybridIter(b *testing.B) {
 				b.Fatal(err)
 			}
 			//karma:plan-ok ops come from Compile on this scratch
-			tl, err := sc.run.Run(lw.ops, s.Budget)
+			tl, err := sc.Runner.Run(lw.ops, s.Budget)
 			if err != nil {
 				b.Fatal(err)
 			}

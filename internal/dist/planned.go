@@ -337,7 +337,7 @@ func replicaDurations(sc *planScratch, s *karma.Schedule, cl hw.Cluster, gpus in
 // the plan IR on the scratch's builder, with the A4 momentum traffic
 // (when d.mom is set) and the phased gradient exchange injected.
 func replicaPlan(sc *planScratch, s *karma.Schedule, d *varDurs) (*plan.Plan, error) {
-	built, err := karma.BuildPlanWith(&sc.bld, s)
+	built, err := karma.BuildPlanWith(&sc.Builder, s)
 	if err != nil {
 		return nil, err
 	}

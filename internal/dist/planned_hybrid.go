@@ -80,7 +80,7 @@ func hybridDurations(sc *planScratch, cfg model.TransformerConfig, p *profiler.P
 // to the plan IR on the scratch's builder, with the data-parallel
 // exchange, the MP collectives and the closing update injected.
 func hybridPlan(sc *planScratch, s *karma.Schedule, shard *model.Shard, p *profiler.Profile, zero, phased bool, d *varDurs) (*plan.Plan, error) {
-	built, err := karma.BuildPlanWith(&sc.bld, s)
+	built, err := karma.BuildPlanWith(&sc.Builder, s)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func (pe *Planned) stageIter(sts []pipeStage, c pipeCost, cl hw.Cluster, stages,
 	sb, _ := bottleneckStage(sts, wire)
 	st := sts[sb]
 	makespan, b, ex, err := pe.simulate(pipelineBudget(st, cl, o), func(sc *planScratch) (lowered, error) {
-		return lowerFresh(sc, buildStagePlan(&sc.bld, st, micro, wire, local, sb, len(sts)), nil)
+		return lowerFresh(sc, buildStagePlan(&sc.Builder, st, micro, wire, local, sb, len(sts)), nil)
 	})
 	if err != nil {
 		return 0, nil, nil, err

@@ -119,18 +119,18 @@ func (d *varDurs) of(sl slot) unit.Seconds {
 }
 
 // planScratch is the reusable state of one planned evaluation: the plan
-// builder, compiler and simulator, the stage arenas the injectors
-// rebuild into, and the varDurs and bookkeeping buffers. Pooled because
-// the sweep engine evaluates configurations from several workers; reuse
-// never changes results, it only skips re-growing the buffers.
+// builder, compiler and simulator of a plan.Scratch, the stage arenas
+// the injectors rebuild into, and the varDurs and bookkeeping buffers.
+// Pooled apart from plan's own scratch pool because it carries the
+// extra state; the sweep engine evaluates configurations from several
+// workers, and reuse never changes results, it only skips re-growing
+// the buffers.
 type planScratch struct {
-	bld  plan.Builder
-	comp plan.Compiler
-	run  sim.Runner
-	ex   stageArena
-	mp   stageArena
-	d    varDurs
-	bd   breakdownBuf
+	plan.Scratch
+	ex stageArena
+	mp stageArena
+	d  varDurs
+	bd breakdownBuf
 	// sizes, mom, ints and lastIn/lastOut are per-block working buffers
 	// of the durations functions and emission steps.
 	sizes           []unit.Bytes
@@ -193,7 +193,7 @@ func lowerFresh(sc *planScratch, pl *plan.Plan, err error) (lowered, error) {
 	if err != nil {
 		return lowered{}, err
 	}
-	c, err := sc.comp.Compile(pl)
+	c, err := sc.Compiler.Compile(pl)
 	if err != nil {
 		return lowered{}, err
 	}
@@ -215,7 +215,7 @@ func (pe *Planned) lower(sc *planScratch, key shapeKey, emit func(*varDurs) (*pl
 	if err != nil {
 		return lowered{}, err
 	}
-	ops := sc.comp.Instantiate(st.t)
+	ops := sc.Compiler.Instantiate(st.t)
 	for _, sl := range st.slots {
 		ops[sl.op].Duration = d.of(sl)
 	}
@@ -236,7 +236,7 @@ func buildTemplate(sc *planScratch, key shapeKey, emit func(*varDurs) (*plan.Pla
 	if err != nil {
 		return nil, err
 	}
-	t, err := sc.comp.Template(pl)
+	t, err := sc.Compiler.Template(pl)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +294,7 @@ func (pe *Planned) run(sc *planScratch, lw lowered, budget unit.Bytes) (*sim.Tim
 	var err error
 	pe.timed("simulate", func() {
 		//karma:plan-ok ops come from Compile, or from a template Compile built, on this scratch
-		tl, err = sc.run.Run(lw.ops, budget)
+		tl, err = sc.Runner.Run(lw.ops, budget)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", lw.name, err)

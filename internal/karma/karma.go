@@ -79,7 +79,7 @@ type Block struct {
 // Payload returns the device memory the block occupies while resident:
 // its stored activations plus, under weight streaming, the weight and
 // gradient footprint that travels with the block (§III-G).
-func (b Block) Payload() unit.Bytes { return b.Cost.ActBytes + b.WBytes + b.GBytes }
+func (b *Block) Payload() unit.Bytes { return b.Cost.ActBytes + b.WBytes + b.GBytes }
 
 // Solver selects the Opt-1 search backend.
 type Solver int
@@ -155,8 +155,8 @@ func (s *Schedule) NumBlocks() int { return len(s.Blocks) }
 // share travelling with each block).
 func (s *Schedule) SwappedBytes() unit.Bytes {
 	var n unit.Bytes
-	for _, b := range s.Blocks {
-		if b.Policy == Swap {
+	for i := range s.Blocks {
+		if b := &s.Blocks[i]; b.Policy == Swap {
 			n += b.Payload()
 		}
 	}

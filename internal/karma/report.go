@@ -63,7 +63,16 @@ func Simulate(s *Schedule) (*Report, error) {
 // the gap the compute pipeline sat idle before the op — the quantity
 // Fig. 6 plots per layer.
 func TraceBackward(c *plan.Compiled, tl *sim.Timeline) []BlockTrace {
-	var out []BlockTrace
+	n := 0
+	for i := range c.PlanOps {
+		if k := c.PlanOps[i].Kind; k == plan.Bwd || k == plan.Recompute {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]BlockTrace, 0, n)
 	var lastComputeEnd unit.Seconds
 	for i, op := range c.PlanOps {
 		onCompute := op.Kind == plan.Fwd || op.Kind == plan.Bwd ||

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"karma/internal/hw"
 	"karma/internal/memo"
 	"karma/internal/occupancy"
 	"karma/internal/plan"
 	"karma/internal/profiler"
-	"karma/internal/sim"
 	"karma/internal/solve"
 	"karma/internal/unit"
 )
@@ -39,22 +37,10 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 		return nil, st.err
 	}
 	sr := newSearcher(p, st.budget, opts)
-	sr.sim = simPool.Get().(*simScratch)
-	defer simPool.Put(sr.sim)
+	sr.sim = plan.GetScratch()
+	defer plan.PutScratch(sr.sim)
 	return sr.refine(st)
 }
-
-// simScratch is the plan builder, compiler and simulator whose arenas
-// every simulated Opt-2 candidate shares. Only a candidate's makespan
-// leaves them, so consecutive Plan calls may share one: simPool keeps
-// the arenas grown instead of regrowing them per call.
-type simScratch struct {
-	builder  plan.Builder
-	compiler plan.Compiler
-	runner   sim.Runner
-}
-
-var simPool = sync.Pool{New: func() any { return new(simScratch) }}
 
 // stageLimit bounds the Opt-1 stages kept. Fig. 5 plans one profile in
 // both recompute settings back to back, so one entry shares each search;
@@ -239,7 +225,7 @@ func (sr *searcher) refine(st *stage) (*Schedule, error) {
 // the merged block costs and partition objective values memoized across
 // candidates and the scratch buffers for the analytic estimate; Opt-2
 // uses the candidate schedules losing candidates hand back and a pooled
-// simScratch. Zero steady-state allocation is the point: the Opt-1/Opt-2
+// plan.Scratch. Zero steady-state allocation is the point: the Opt-1/Opt-2
 // search replays these paths thousands of times per plan.
 type searcher struct {
 	p      *profiler.Profile
@@ -273,7 +259,7 @@ type searcher struct {
 	// reuses them and their Blocks.
 	free []*Schedule
 
-	sim *simScratch // Opt-2 only
+	sim *plan.Scratch // Opt-2 only; a candidate's makespan is all that leaves it
 }
 
 func newSearcher(p *profiler.Profile, budget unit.Bytes, opts Options) *searcher {
@@ -398,22 +384,17 @@ func (sr *searcher) estimate(cuts []int) unit.Seconds {
 	return fwdPhase + est.Total
 }
 
-// iterTime simulates one candidate through the shared builder, compiler
-// and runner, returning only the makespan. Error values match
-// Simulate's exactly (the search keeps the first failure).
+// iterTime simulates one candidate on the pooled scratch, returning
+// only the makespan. Error values match Simulate's exactly (the search
+// keeps the first failure).
 func (sr *searcher) iterTime(cand *Schedule) (unit.Seconds, error) {
-	pl, err := buildPlan(&sr.sim.builder, sr.name, cand)
+	pl, err := buildPlan(&sr.sim.Builder, sr.name, cand)
 	if err != nil {
 		return 0, err
 	}
-	c, err := sr.sim.compiler.Compile(pl)
+	_, tl, err := sr.sim.Simulate(pl, cand.Budget)
 	if err != nil {
 		return 0, err
-	}
-	//karma:plan-ok ops come from Compile on this same plan; the pooled Runner just skips Simulate's per-call allocations
-	tl, err := sr.sim.runner.Run(c.Ops, cand.Budget)
-	if err != nil {
-		return 0, fmt.Errorf("plan %s: %w", pl.Name, err)
 	}
 	return tl.Makespan, nil
 }

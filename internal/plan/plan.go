@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"karma/internal/sim"
 	"karma/internal/unit"
@@ -577,13 +578,45 @@ func (b *Builder) Stage(ops ...Op) {
 // Plan returns the assembled plan, valid until the next Reset.
 func (b *Builder) Plan() *Plan { return &b.p }
 
-// Simulate compiles and runs the plan against the given capacity.
+// Simulate compiles and runs the plan against the given capacity on a
+// scratch of its own, so the results it returns alias nothing shared.
 func (p *Plan) Simulate(capacity unit.Bytes) (*Compiled, *sim.Timeline, error) {
-	c, err := p.Compile()
+	return new(Scratch).Simulate(p, capacity)
+}
+
+// Scratch is a plan builder, compiler and simulator whose arenas stay
+// grown between plans, so lowering, compiling and simulating many plans
+// allocates almost nothing once the largest has been seen.
+//
+// Aliasing rule: the plan Builder returns, the Compiled view and the
+// Timeline Simulate returns all live in the scratch's arenas and are
+// overwritten by its next use. A caller must copy out what it keeps (a
+// makespan, a trace of its own) before the scratch is reused or handed
+// back with PutScratch. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	Builder  Builder
+	Compiler Compiler
+	Runner   sim.Runner
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch returns a scratch from the pool the single-GPU planners
+// share.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// PutScratch hands sc back to the pool; nothing it returned may be read
+// afterwards.
+func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
+
+// Simulate compiles p on the scratch's compiler and runs it against the
+// given capacity on its runner, with (*Plan).Simulate's errors.
+func (sc *Scratch) Simulate(p *Plan, capacity unit.Bytes) (*Compiled, *sim.Timeline, error) {
+	c, err := sc.Compiler.Compile(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	tl, err := sim.Run(c.Ops, capacity)
+	tl, err := sc.Runner.Run(c.Ops, capacity)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan %s: %w", p.Name, err)
 	}
