@@ -18,7 +18,7 @@ type CacheStats = memo.Stats
 
 // SharedCacheStats sums the process-wide evaluator caches both backends
 // share (graph/shard builds, replica and shard profiles, schedules,
-// footprints).
+// checkpoint scans).
 func SharedCacheStats() CacheStats {
 	var s CacheStats
 	s.Add(sharedGraphs.Stats())
@@ -26,7 +26,7 @@ func SharedCacheStats() CacheStats {
 	s.Add(sharedShards.Stats())
 	s.Add(sharedProfiles.Stats())
 	s.Add(sharedScheds.Stats())
-	s.Add(sharedFootprint.Stats())
+	s.Add(sharedScans.Stats())
 	return s
 }
 
@@ -109,12 +109,12 @@ type replicaKey struct {
 }
 
 var (
-	sharedGraphs    memo.Cache[graphKey, *graph.Graph]
-	sharedReplicas  memo.Cache[replicaKey, *profiler.Profile]
-	sharedShards    memo.Cache[modelKey, *model.Shard]
-	sharedProfiles  memo.Cache[shardProfileKey, *profiler.Profile]
-	sharedScheds    memo.Cache[shardSchedKey, *karma.Schedule]
-	sharedFootprint memo.Cache[shardProfileKey, unit.Bytes]
+	sharedGraphs   memo.Cache[graphKey, *graph.Graph]
+	sharedReplicas memo.Cache[replicaKey, *profiler.Profile]
+	sharedShards   memo.Cache[modelKey, *model.Shard]
+	sharedProfiles memo.Cache[shardProfileKey, *profiler.Profile]
+	sharedScheds   memo.Cache[shardSchedKey, *karma.Schedule]
+	sharedScans    memo.Cache[shardProfileKey, *karma.CheckpointScan]
 )
 
 // CachedTransformer returns the interned full-model build for cfg: every
@@ -172,6 +172,7 @@ func cachedProfile(k shardProfileKey) (*profiler.Profile, error) {
 // cachedSchedule returns the memoized in-core (or checkpointed)
 // schedule of the profile under the activation budget, or nil when the
 // regime cannot fit — the capacity verdict both backends share. The
+// checkpointed regime fits through the profile's cachedScan. The
 // profile must be the cachedProfile of k.pk (the key carries the
 // identity; the pointer carries the data).
 //
@@ -185,7 +186,7 @@ func cachedSchedule(k shardSchedKey, p *profiler.Profile) *karma.Schedule {
 		var s *karma.Schedule
 		var err error
 		if k.ckpt {
-			s, err = karma.Checkpoint(p, k.budget)
+			s, err = cachedScan(k.pk, p).Fit(k.budget)
 		} else {
 			s, err = karma.InCore(p, k.budget)
 		}
@@ -197,13 +198,14 @@ func cachedSchedule(k shardSchedKey, p *profiler.Profile) *karma.Schedule {
 	return s
 }
 
-// cachedFootprint returns the memoized minimal checkpointed activation
-// footprint of the profile (karma.CheckpointFootprint scans every run
-// count; infeasible sweep cells would otherwise pay that scan per grid
-// point).
-func cachedFootprint(k shardProfileKey, p *profiler.Profile) unit.Bytes {
-	f, _ := sharedFootprint.Do(k, func() (unit.Bytes, error) {
-		return karma.CheckpointFootprint(p), nil
+// cachedScan returns the shard profile's checkpoint scan, one per
+// profile key: every budget a capacity ladder probes (ZeRO's changes
+// with the GPU count) and the infeasible verdict's minimal footprint
+// read the same run-count table, so no run count of a profile is costed
+// twice.
+func cachedScan(k shardProfileKey, p *profiler.Profile) *karma.CheckpointScan {
+	sc, _ := sharedScans.Do(k, func() (*karma.CheckpointScan, error) {
+		return karma.NewCheckpointScan(p), nil
 	})
-	return f
+	return sc
 }

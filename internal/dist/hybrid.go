@@ -110,10 +110,12 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 	}
 	m := budget(cl)
 	actBudget := m - weights - grads - master
-	// The schedule construction IS the capacity verdict (one scan, shared
-	// by both backends and memoized per (profile, budget, regime)); its
-	// failure is re-rendered below as the stable memory Reason carrying
-	// the minimal activation footprint the regime could have reached.
+	// The schedule construction IS the capacity verdict (shared by both
+	// backends and memoized per (profile, budget, regime)); its failure is
+	// re-rendered below as the stable memory Reason carrying the minimal
+	// activation footprint the regime could have reached — for the
+	// checkpointed regime the minimum of the profile's scan, whose table
+	// the failed Fit already completed.
 	var s *karma.Schedule
 	if actBudget > 0 {
 		s = cachedSchedule(shardSchedKey{pk: pk, budget: actBudget, ckpt: o.Checkpoint}, p)
@@ -121,7 +123,7 @@ func hybridSetup(cfg model.TransformerConfig, cl hw.Cluster, mp, gpus, perReplic
 	if s == nil {
 		actNeed := p.TotalActBytes
 		if o.Checkpoint {
-			actNeed = cachedFootprint(pk, p)
+			actNeed = cachedScan(pk, p).Min()
 		}
 		return nil, nil, nil, sh.infeasible(
 			"MP=%d shard needs %v of %v device memory; increase the MP factor or go out-of-core",

@@ -75,25 +75,26 @@ func (g *Graph) Node(id NodeID) *Node {
 // The returned slice must not be mutated.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 
-// Consumers returns, for every node, the ids of nodes consuming its output.
-func (g *Graph) Consumers() [][]NodeID {
-	out := make([][]NodeID, len(g.nodes))
+// consumerCounts returns, for every node, the number of input references
+// to its output (a node reading the same producer twice counts twice),
+// written into counts, which must hold Len() zeros.
+func (g *Graph) consumerCounts(counts []int32) []int32 {
 	for _, n := range g.nodes {
 		for _, in := range n.Inputs {
-			out[in] = append(out[in], n.ID)
+			counts[in]++
 		}
 	}
-	return out
+	return counts
 }
 
 // Output returns the unique sink node id. Validate reports an error when
 // the sink is not unique; Output returns the last sink found.
 func (g *Graph) Output() NodeID {
-	cons := g.Consumers()
+	counts := g.consumerCounts(make([]int32, len(g.nodes)))
 	sink := NodeID(-1)
-	for _, n := range g.nodes {
-		if len(cons[n.ID]) == 0 {
-			sink = n.ID
+	for id, c := range counts {
+		if c == 0 {
+			sink = NodeID(id)
 		}
 	}
 	return sink
@@ -133,10 +134,10 @@ func (g *Graph) Validate() error {
 	if !g.inferred {
 		return fmt.Errorf("graph %s: Validate before successful Infer", g.name)
 	}
-	cons := g.Consumers()
+	counts := g.consumerCounts(make([]int32, len(g.nodes)))
 	sinks := 0
 	for _, n := range g.nodes {
-		if len(cons[n.ID]) == 0 {
+		if counts[n.ID] == 0 {
 			sinks++
 		}
 		_, isInput := n.L.(*layer.Input)
@@ -210,45 +211,46 @@ func (g *Graph) Segments(maxOpen int) []Segment {
 		maxOpen = 1
 	}
 	g.mustInferred("Segments")
-	cons := g.Consumers()
-
-	// Sweep the topological order keeping, per producer, the number of
-	// unprocessed consumers of its output.
-	pending := make(map[NodeID]int)
+	n := len(g.nodes)
+	// pending[id] counts the unswept consumer references of id's output;
+	// open is the number of swept producers with pending > 0, the live
+	// tensors crossing a cut after the current node. segOf[id] is the
+	// index of the segment holding id.
+	buf := make([]int32, 2*n)
+	pending, segOf := g.consumerCounts(buf[:n]), buf[n:]
+	// Segments are contiguous in topological order, so every Nodes slice
+	// is a capacity-capped window of one ID arena: appending to one
+	// segment's Nodes copies instead of overwriting the next segment.
+	ids := make([]NodeID, n)
 	var segs []Segment
-	var cur []NodeID
-	for _, n := range g.nodes {
-		for _, in := range n.Inputs {
+	open, start := 0, 0
+	for i, node := range g.nodes {
+		ids[i] = node.ID
+		segOf[i] = int32(len(segs))
+		for _, in := range node.Inputs {
 			if pending[in]--; pending[in] == 0 {
-				delete(pending, in)
+				open--
 			}
 		}
-		if c := len(cons[n.ID]); c > 0 {
-			pending[n.ID] = c
+		if pending[i] > 0 {
+			open++
 		}
-		cur = append(cur, n.ID)
-		if len(pending) <= maxOpen {
-			segs = append(segs, Segment{Index: len(segs), Nodes: cur})
-			cur = nil
+		if open <= maxOpen {
+			segs = append(segs, Segment{Index: len(segs), Nodes: ids[start : i+1 : i+1]})
+			start = i + 1
 		}
 	}
-	if len(cur) > 0 {
-		segs = append(segs, Segment{Index: len(segs), Nodes: cur})
+	if start < n {
+		segs = append(segs, Segment{Index: len(segs), Nodes: ids[start:n:n]})
 	}
 
 	// Attach pinned edges: an edge whose producer lives in segment p and
 	// whose consumer lives in segment q > p+1 skips at least one segment.
-	segOf := make([]int, len(g.nodes))
-	for _, s := range segs {
-		for _, id := range s.Nodes {
-			segOf[id] = s.Index
-		}
-	}
-	for _, n := range g.nodes {
-		for _, in := range n.Inputs {
-			if segOf[n.ID] > segOf[in]+1 {
-				s := &segs[segOf[n.ID]]
-				s.PinnedIn = append(s.PinnedIn, Edge{From: in, To: n.ID})
+	for _, node := range g.nodes {
+		for _, in := range node.Inputs {
+			if q := segOf[node.ID]; q > segOf[in]+1 {
+				s := &segs[q]
+				s.PinnedIn = append(s.PinnedIn, Edge{From: in, To: node.ID})
 			}
 		}
 	}

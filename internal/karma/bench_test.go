@@ -72,6 +72,9 @@ func BenchmarkPlan(b *testing.B) {
 // At the tightest feasible budget the scan walks down from the most runs
 // to the first that fits; one byte below it, every run count is costed
 // and the call fails, the capacity boundary a ZeRO batch sweep probes.
+// /ladder is that sweep's pattern on one profile (see checkpointLadder):
+// a fresh scan per iteration answers every budget of the ladder in
+// order, and the infeasible ones also ask its minimum.
 func BenchmarkCheckpoint(b *testing.B) {
 	sh := model.TransformerShard(model.MegatronConfigs()[4], 8)
 	p, err := profiler.New(sh.Graph, hw.ABCINode(), profiler.Options{Batch: 8})
@@ -99,4 +102,53 @@ func BenchmarkCheckpoint(b *testing.B) {
 			}
 		})
 	}
+	lp, budgets := checkpointLadder(b)
+	b.Run("ladder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc := NewCheckpointScan(lp)
+			for _, budget := range budgets {
+				if _, err := sc.Fit(budget); err != nil {
+					sc.Min()
+				}
+			}
+		}
+	})
+}
+
+// checkpointLadder returns the profile and budgets one rung of a ZeRO
+// capacity ladder asks: the Turing-NLG shard at MP=8 (fp32) under the
+// activation budget ZeRO leaves at each GPU count of the Fig. 8 panel
+// (device memory less 3% headroom, the shard's weights, and its
+// gradients divided over the replicas), in sweep order. The batch is the
+// ladder's top feasible rung — the largest power of two at which the
+// fewest-GPU budget still fits — where the fits sit closest to the
+// minimal footprint, so the scan runs deepest.
+func checkpointLadder(b *testing.B) (*profiler.Profile, []unit.Bytes) {
+	const mp = 8
+	sh := model.TransformerShard(model.TuringNLG(), mp)
+	node := hw.ABCINode()
+	usable := node.Device.UsableMem()
+	m := usable - unit.Bytes(float64(usable)*0.03)
+	var last *profiler.Profile
+	var lastBudgets []unit.Bytes
+	for batch := 1; batch <= 1<<12; batch *= 2 {
+		p, err := profiler.New(sh.Graph, node, profiler.Options{Batch: batch})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var budgets []unit.Bytes
+		for _, gpus := range []int{128, 256, 512, 1024, 2048} {
+			w, replicas := p.TotalWeightBytes, unit.Bytes(gpus/mp)
+			budgets = append(budgets, m-w-(w+replicas-1)/replicas)
+		}
+		if _, err := Checkpoint(p, budgets[0]); err != nil {
+			break
+		}
+		last, lastBudgets = p, budgets
+	}
+	if last == nil {
+		b.Fatal("no rung of the ladder fits")
+	}
+	return last, lastBudgets
 }

@@ -2,7 +2,7 @@ package karma
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"karma/internal/profiler"
 	"karma/internal/solve"
@@ -39,67 +39,120 @@ func InCore(p *profiler.Profile, budget unit.Bytes) (*Schedule, error) {
 // the budget tightens. The in-core hybrid baselines (Megatron MP+DP,
 // ZeRO) use this to reach the larger capacity batches real deployments
 // train at.
+//
+// Checkpoint is one Fit of a fresh CheckpointScan; a caller probing the
+// same profile under many budgets keeps the scan instead.
 func Checkpoint(p *profiler.Profile, budget unit.Bytes) (*Schedule, error) {
-	s, err := identitySchedule(p, budget)
-	if err != nil {
-		return nil, err
-	}
-	if p.TotalActBytes <= budget {
-		return s, nil // everything resident; no recompute needed
-	}
-	k := len(s.Blocks)
-	if k < 2 {
-		return nil, fmt.Errorf("karma: checkpointed activations need %v of %v", p.TotalActBytes, budget)
-	}
-	tail := s.Blocks[k-1].Payload()
-	// Single scan, largest feasible run count first (most boundaries =
-	// least replay); on failure the scan's minimum doubles as the
-	// footprint the error reports, so feasibility needs no second pass.
-	// Candidates are costed from their cut positions alone; only the
-	// winner materializes a schedule.
-	cs := newCheckpointSearch(p)
-	minNeed := p.TotalActBytes
-	for runs := k - 1; runs >= 1; runs-- {
-		foot, ok := cs.footprint(runs)
-		if !ok {
-			continue
-		}
-		if foot+tail <= budget {
-			return cs.materialize(s), nil
-		}
-		if foot+tail < minNeed {
-			minNeed = foot + tail
-		}
-	}
-	return nil, fmt.Errorf("karma: checkpointed activations need %v of %v", minNeed, budget)
+	return NewCheckpointScan(p).Fit(budget)
 }
 
 // CheckpointFootprint returns the smallest peak activation footprint any
 // checkpointing schedule of the profile can reach: the minimum over run
 // counts of resident boundaries plus the largest replayed run (with one
 // extra block of transient replay slack), plus the resident tail — or
-// the all-resident footprint if that is smaller. Both dist backends use
-// it as the shared capacity verdict for the checkpointed hybrids.
+// the all-resident footprint if that is smaller. It is the Min of a
+// fresh CheckpointScan.
 func CheckpointFootprint(p *profiler.Profile) unit.Bytes {
-	s, err := identitySchedule(p, unit.Bytes(math.MaxInt64))
-	if err != nil {
-		return 0
+	return NewCheckpointScan(p).Min()
+}
+
+// CheckpointScan is the checkpointed regime of one profile kept across
+// budgets: the run-count scan's table of footprints (prefix plus
+// resident tail, one entry per run count probed, from the most runs
+// downward), extended only as far as a budget needs. A capacity search
+// asks the same profile under many budgets — ZeRO's budget changes with
+// the GPU count — and each Fit reads the table instead of re-costing the
+// run counts an earlier budget already costed. Fit and Min are safe for
+// concurrent use; the dist evaluators share one scan per shard profile.
+type CheckpointScan struct {
+	p *profiler.Profile
+
+	mu   sync.Mutex
+	cs   *checkpointSearch // built on the first probe
+	need []unit.Bytes      // need[i] is the footprint of runs = k-1-i
+	min  unit.Bytes        // p.TotalActBytes, then the minimum over need
+}
+
+// NewCheckpointScan returns an empty scan of p; nothing is probed until
+// a budget needs it.
+func NewCheckpointScan(p *profiler.Profile) *CheckpointScan {
+	return &CheckpointScan{p: p, min: p.TotalActBytes}
+}
+
+// Fit returns Checkpoint's schedule for the budget: all-resident when
+// the activations fit, otherwise the largest run count whose footprint
+// fits, or an error carrying the scan's minimum. Probes happen only past
+// the end of the table, plus one re-probe of the winning count to place
+// its anchors. Each call returns a fresh schedule.
+func (sc *CheckpointScan) Fit(budget unit.Bytes) (*Schedule, error) {
+	p := sc.p
+	k := len(p.Blocks)
+	if k == 0 || p.TotalActBytes <= budget {
+		return identitySchedule(p, budget) // no blocks (an error), or everything resident
 	}
-	k := len(s.Blocks)
-	best := p.TotalActBytes
 	if k < 2 {
-		return best
+		return nil, fmt.Errorf("karma: checkpointed activations need %v of %v", p.TotalActBytes, budget)
 	}
-	tail := s.Blocks[k-1].Payload()
-	cs := newCheckpointSearch(p)
-	for runs := k - 1; runs >= 1; runs-- {
-		if foot, ok := cs.footprint(runs); ok {
-			if need := foot + tail; need < best {
-				best = need
-			}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	// Largest feasible run count first (most boundaries = least replay);
+	// on failure the table is complete and its minimum is the footprint
+	// the error reports.
+	for i := 0; sc.extend(i); i++ {
+		if sc.need[i] <= budget {
+			s, _ := identitySchedule(p, budget)
+			return sc.materialize(k-1-i, s), nil
 		}
 	}
-	return best
+	return nil, fmt.Errorf("karma: checkpointed activations need %v of %v", sc.min, budget)
+}
+
+// Min returns CheckpointFootprint(p), completing the table if a budget
+// has not already done so.
+func (sc *CheckpointScan) Min() unit.Bytes {
+	if len(sc.p.Blocks) == 0 {
+		return 0
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for i := len(sc.need); sc.extend(i); i++ {
+	}
+	return sc.min
+}
+
+// extend makes sc.need[i] available, probing runs = k-1-i when the table
+// ends at i; it reports false when i is past the last run count. The
+// caller holds sc.mu and walks i upward from the table's end or below.
+func (sc *CheckpointScan) extend(i int) bool {
+	if i < len(sc.need) {
+		return true
+	}
+	k := len(sc.p.Blocks)
+	if i >= k-1 {
+		return false
+	}
+	if sc.cs == nil {
+		sc.cs = newCheckpointSearch(sc.p)
+		sc.need = make([]unit.Bytes, 0, k-1)
+	}
+	need := sc.cs.footprint(k-1-i) + sc.cs.tail
+	sc.min = min(sc.min, need)
+	sc.need = append(sc.need, need)
+	return true
+}
+
+// materialize turns the runs-count candidate into a schedule on the
+// identity partition s (which it mutates and returns), re-probing the
+// count to place its anchors in cs.mark. The caller holds sc.mu.
+func (sc *CheckpointScan) materialize(runs int, s *Schedule) *Schedule {
+	cs := sc.cs
+	cs.footprint(runs)
+	s.Resident = cs.r
+	for i := 0; i < cs.r; i++ {
+		s.Blocks[i].Policy = Recompute
+		s.Blocks[i].Ckpt = cs.mark[i]
+	}
+	return s
 }
 
 // checkpointSearch is the shared state of the run-count scan: the
@@ -114,13 +167,14 @@ type checkpointSearch struct {
 	r        int // prefix length: blocks [0, r) recompute, block r stays resident
 	pt       *solve.Partitioner
 	maxBlock unit.Bytes // largest prefix payload (the transient replay slack)
+	tail     unit.Bytes // the resident last block's payload
 	mark     []bool     // Ckpt anchors of the latest footprint() candidate
 	cuts     []int      // scratch cut buffer reused across runs counts
 }
 
 func newCheckpointSearch(p *profiler.Profile) *checkpointSearch {
 	r := len(p.Blocks) - 1
-	cs := &checkpointSearch{p: p, r: r, mark: make([]bool, r)}
+	cs := &checkpointSearch{p: p, r: r, mark: make([]bool, r), tail: p.Blocks[r].ActBytes}
 	weights := make([]float64, r)
 	for i := 0; i < r; i++ {
 		pl := p.Blocks[i].ActBytes
@@ -138,12 +192,9 @@ func newCheckpointSearch(p *profiler.Profile) *checkpointSearch {
 // footprint: resident boundary checkpoints plus the largest run plus one
 // block of transient slack (a replayed block coexists with its
 // consumer's activations while the boundary hand-off completes). The
-// anchor marks stay in cs.mark for materialize.
-func (cs *checkpointSearch) footprint(runs int) (unit.Bytes, bool) {
-	cuts, err := cs.pt.AppendCuts(cs.cuts[:0], runs)
-	if err != nil {
-		return 0, false
-	}
+// anchor marks stay in cs.mark for CheckpointScan.materialize.
+func (cs *checkpointSearch) footprint(runs int) unit.Bytes {
+	cuts, _ := cs.pt.AppendCuts(cs.cuts[:0], runs) // 1 <= runs <= r: cannot fail
 	cs.cuts = cuts
 	// A checkpoint must land on a block that physically stores its
 	// boundary (see checkpointPrefix); shift left inside the run when the
@@ -190,18 +241,7 @@ func (cs *checkpointSearch) footprint(runs int) (unit.Bytes, bool) {
 			cur = 0
 		}
 	}
-	return ckpt + maxRun + cs.maxBlock, true
-}
-
-// materialize turns the latest footprint() candidate into a schedule on
-// the identity partition s (which it mutates and returns).
-func (cs *checkpointSearch) materialize(s *Schedule) *Schedule {
-	s.Resident = cs.r
-	for i := 0; i < cs.r; i++ {
-		s.Blocks[i].Policy = Recompute
-		s.Blocks[i].Ckpt = cs.mark[i]
-	}
-	return s
+	return ckpt + maxRun + cs.maxBlock
 }
 
 // identitySchedule materializes one planner block per profiled segment,

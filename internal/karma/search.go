@@ -3,6 +3,7 @@ package karma
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -209,6 +210,9 @@ func (sr *searcher) refine(st *stage) (*Schedule, error) {
 			}
 			s, t, err = s2, t2, err2
 		}
+	}
+	if err == errNoPolicy {
+		return nil, fmt.Errorf("karma: no simulable policy for budget %v", sr.budget)
 	}
 	if err != nil {
 		return nil, err
@@ -442,6 +446,12 @@ func (sr *searcher) lowerBound(s *Schedule) float64 {
 	return float64(lb)
 }
 
+// errNoPolicy is bestPolicy's verdict that no candidate beat its bound
+// without a simulation error. A ladder rung that loses to the incumbent
+// ends this way and refine drops it, so the error is formatted (with the
+// budget) only where refine returns it.
+var errNoPolicy = errors.New("karma: no simulable policy")
+
 // bestPolicy enumerates resident-suffix depths; for each depth it applies
 // the greedy constraint-10.1 recompute marking to the non-resident
 // prefix, then picks the schedule with the shortest simulated iteration.
@@ -532,7 +542,7 @@ func (sr *searcher) bestPolicy(cs *cutSet, bound unit.Seconds) (*Schedule, unit.
 		if firstErr != nil {
 			return nil, 0, firstErr
 		}
-		return nil, 0, fmt.Errorf("karma: no simulable policy for budget %v", sr.budget)
+		return nil, 0, errNoPolicy
 	}
 	return best, bestTime, nil
 }
@@ -665,12 +675,37 @@ func (sr *searcher) markRecompute(s *Schedule, prefixBudget unit.Bytes) {
 		return cmp.Compare(a.idx, b.idx)
 	})
 	runCap := prefixBudget / 2
+	if maxRunBytes(s.Blocks) > runCap {
+		return // no flip can shrink a run, so every flip would be undone
+	}
+	// The largest run fits runCap, and a flip changes only the run through
+	// the flipped block, so that run alone decides whether the flip stays.
 	for _, c := range cands {
 		s.Blocks[c.idx].Policy = Recompute
-		if maxRunBytes(s.Blocks) > runCap {
+		if runBytesAt(s.Blocks, c.idx) > runCap {
 			s.Blocks[c.idx].Policy = Swap
 		}
 	}
+}
+
+// runBytesAt returns the total payload of the recompute run holding
+// block i (which must recompute), delimited as maxRunBytes delimits
+// runs: a run ends at a checkpointed block or before a block that does
+// not recompute. Payloads are non-negative, so the total is the largest
+// running sum maxRunBytes sees in that run.
+func runBytesAt(blocks []Block, i int) unit.Bytes {
+	lo := i
+	for lo > 0 && blocks[lo-1].Policy == Recompute && !blocks[lo-1].Ckpt {
+		lo--
+	}
+	var sum unit.Bytes
+	for j := lo; j < len(blocks) && blocks[j].Policy == Recompute; j++ {
+		sum += blocks[j].Payload()
+		if blocks[j].Ckpt {
+			break
+		}
+	}
+	return sum
 }
 
 // maxRunBytes returns the largest recompute run's total activation
