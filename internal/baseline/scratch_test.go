@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -123,5 +124,37 @@ func BenchmarkBaselineRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPooledScratchSurvivesGC pins what the free lists are for: after
+// two garbage collections, which empty a sync.Pool, every Fig. 5
+// method still runs on the arenas an earlier run grew. Each measured
+// run starts with the two collections, so a pool that lost its
+// scratches would regrow every builder, compiler and runner arena on
+// each run and blow the ceilings. The ceilings are the warm counts: as
+// in TestBaselineRunAllocs for the methods it covers; Checkmate's sweep
+// keeps per-run state of its own; the KARMA methods add the winning
+// schedule, its blocks and the plan names.
+func TestPooledScratchSurvivesGC(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := prof(t, "resnet50", 128)
+	ceiling := map[Method]float64{
+		InCore: 3, VDNNPP: 3, SuperNeurons: 5, Checkmate: 41, KARMA: 7, KARMARecompute: 7,
+	}
+	for _, m := range Methods() {
+		run(t, m, p) // warm: grows the pooled scratches to this profile
+		allocs := testing.AllocsPerRun(10, func() {
+			runtime.GC()
+			runtime.GC()
+			if _, err := Run(m, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling[m] {
+			t.Errorf("%s: Run after two GCs allocated %.0f objects, want at most %.0f", m, allocs, ceiling[m])
+		}
 	}
 }

@@ -103,7 +103,25 @@ func mergeGroups(sizes []unit.Bytes, threshold unit.Bytes, cost func(unit.Bytes)
 	// Groups are consecutive index runs, so every group's Blocks is a
 	// window of one shared index slice.
 	idx := make([]int, len(sizes))
-	var out []Group
+	// Count the flushes first so out is allocated once: one per payload
+	// reaching the threshold, plus the last flush when blocks remain after
+	// it (zero-size ones included).
+	n, rest := 0, false
+	var acc unit.Bytes
+	for _, s := range sizes {
+		if s < 0 {
+			panic(fmt.Sprintf("comm: negative block size %d", s))
+		}
+		acc += s
+		rest = true
+		if acc >= threshold {
+			n, acc, rest = n+1, 0, false
+		}
+	}
+	if rest {
+		n++
+	}
+	out := make([]Group, 0, n)
 	cur := Group{}
 	start := 0
 	flush := func(end int) {
@@ -117,9 +135,6 @@ func mergeGroups(sizes []unit.Bytes, threshold unit.Bytes, cost func(unit.Bytes)
 		start = end
 	}
 	for i, s := range sizes {
-		if s < 0 {
-			panic(fmt.Sprintf("comm: negative block size %d", s))
-		}
 		idx[i] = i
 		cur.Bytes += s
 		if cur.Bytes >= threshold {

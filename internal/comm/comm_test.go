@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -273,5 +275,60 @@ func TestPhasedGroupsThresholdFollowsTopology(t *testing.T) {
 	abci := PhasedGroups(sizes, cl.WithTopology(topo.ABCI()), 512, b)
 	if len(abci) > len(flat) {
 		t.Errorf("abci formed %d groups, flat %d; more bandwidth should merge harder", len(abci), len(flat))
+	}
+}
+
+// appendMergeGroups is mergeGroups as it was before it counted its
+// groups: out grows by append. It is the reference the counted form is
+// held to.
+func appendMergeGroups(sizes []unit.Bytes, threshold unit.Bytes, cost func(unit.Bytes) unit.Seconds) []Group {
+	var out []Group
+	cur := Group{}
+	start := 0
+	flush := func(end int) {
+		if end == start {
+			return
+		}
+		for i := start; i < end; i++ {
+			cur.Blocks = append(cur.Blocks, i)
+		}
+		cur.Time = cost(cur.Bytes)
+		out = append(out, cur)
+		cur = Group{}
+		start = end
+	}
+	for i, s := range sizes {
+		cur.Bytes += s
+		if cur.Bytes >= threshold {
+			flush(i + 1)
+		}
+	}
+	flush(len(sizes))
+	return out
+}
+
+// TestMergeGroupsMatchesAppendForm checks that counting the groups
+// first changes no group, over random sizes (runs of zero-size blocks
+// included, at the end too) and thresholds (zero and negative among
+// them), and that out is allocated at its final length.
+func TestMergeGroupsMatchesAppendForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cost := func(n unit.Bytes) unit.Seconds { return unit.Seconds(float64(n)*1e-9 + 1e-6) }
+	for iter := 0; iter < 2000; iter++ {
+		sizes := make([]unit.Bytes, 1+rng.Intn(40)) // callers never merge zero blocks
+		for i := range sizes {
+			if rng.Intn(3) > 0 {
+				sizes[i] = unit.Bytes(rng.Intn(100))
+			}
+		}
+		threshold := unit.Bytes(rng.Intn(400) - 20)
+		got := mergeGroups(sizes, threshold, cost)
+		want := appendMergeGroups(sizes, threshold, cost)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sizes %v threshold %d:\n got %+v\nwant %+v", sizes, threshold, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("sizes %v threshold %d: %d groups in a slice of capacity %d", sizes, threshold, len(got), cap(got))
+		}
 	}
 }

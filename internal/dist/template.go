@@ -2,9 +2,9 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"karma/internal/karma"
+	"karma/internal/memo"
 	"karma/internal/model"
 	"karma/internal/plan"
 	"karma/internal/sim"
@@ -121,10 +121,11 @@ func (d *varDurs) of(sl slot) unit.Seconds {
 // planScratch is the reusable state of one planned evaluation: the plan
 // builder, compiler and simulator of a plan.Scratch, the stage arenas
 // the injectors rebuild into, and the varDurs and bookkeeping buffers.
-// Pooled apart from plan's own scratch pool because it carries the
-// extra state; the sweep engine evaluates configurations from several
-// workers, and reuse never changes results, it only skips re-growing
-// the buffers.
+// It has a free list of its own (scratches) beside plan's, because it
+// carries the extra state; both are memo.Pools, so a garbage collection
+// keeps their grown buffers. The sweep engine evaluates configurations
+// from several workers, and reuse never changes results, it only skips
+// re-growing the buffers.
 type planScratch struct {
 	plan.Scratch
 	ex stageArena
@@ -140,7 +141,9 @@ type planScratch struct {
 	sig             []byte
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
+// scratches keeps at most GOMAXPROCS idle scratches, one per sweep
+// worker that can run at once.
+var scratches = memo.NewPool(func() *planScratch { return new(planScratch) })
 
 // scratch returns the evaluation state for one iteration: pooled, or
 // fresh under recording, whose exported plan and timeline outlive the
@@ -149,13 +152,13 @@ func (pe *Planned) scratch() *planScratch {
 	if pe.rec != nil {
 		return new(planScratch)
 	}
-	return scratchPool.Get().(*planScratch)
+	return scratches.Get()
 }
 
 // release returns a scratch obtained from scratch.
 func (pe *Planned) release(sc *planScratch) {
 	if pe.rec == nil {
-		scratchPool.Put(sc)
+		scratches.Put(sc)
 	}
 }
 

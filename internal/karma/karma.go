@@ -55,7 +55,10 @@ func (p Policy) String() string {
 type Block struct {
 	// Range is the half-open [start, end) span of profiler blocks.
 	Range [2]int
-	// Cost is the merged cost over the range.
+	// Cost is the merged cost over the range: in Plan's schedules,
+	// exactly Profile.MergeCosts(Range[0], Range[1]), whose Seg.Nodes and
+	// Seg.PinnedIn lists are empty. Read the profile's Blocks over Range
+	// for the segments' layers.
 	Cost profiler.Block
 	// Policy chosen by the optimizer.
 	Policy Policy

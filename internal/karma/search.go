@@ -37,7 +37,8 @@ func Plan(p *profiler.Profile, opts Options) (*Schedule, error) {
 	if st.err != nil {
 		return nil, st.err
 	}
-	sr := newSearcher(p, st.budget, opts)
+	sr := searchers.Get().reset(p, st.budget, opts)
+	defer putSearcher(sr)
 	sr.sim = plan.GetScratch()
 	defer plan.PutScratch(sr.sim)
 	return sr.refine(st)
@@ -103,13 +104,15 @@ func (sr *searcher) cutSetOf(cuts []int) cutSet {
 func partition(p *profiler.Profile, opts Options) (*stage, error) {
 	opts.DisableRecompute = false
 	return stages.Do(stageKey{p: p, opts: opts}, func() (*stage, error) {
-		return opt1(p, opts), nil
+		sr := searchers.Get()
+		defer putSearcher(sr)
+		return opt1(sr, p, opts), nil
 	})
 }
 
-// opt1 runs the Opt-1 search: balanced partitions enumerated over K and
-// refined by the selected solver, plus the Opt-2 ladder's cut sets.
-func opt1(p *profiler.Profile, opts Options) *stage {
+// opt1 runs the Opt-1 search on sr: balanced partitions enumerated over
+// K and refined by the selected solver, plus the Opt-2 ladder's cut sets.
+func opt1(sr *searcher, p *profiler.Profile, opts Options) *stage {
 	budget, err := ActivationBudget(p, opts)
 	if err != nil {
 		return &stage{err: err}
@@ -118,7 +121,7 @@ func opt1(p *profiler.Profile, opts Options) *stage {
 	if n == 0 {
 		return &stage{err: fmt.Errorf("karma: profile has no blocks")}
 	}
-	sr := newSearcher(p, budget, opts)
+	sr.reset(p, budget, opts)
 
 	weights := make([]float64, n)
 	for i, b := range p.Blocks {
@@ -217,11 +220,6 @@ func (sr *searcher) refine(st *stage) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Candidates were costed from metadata-free merged blocks; give the
-	// winner the full merges (identical numerics plus the segment lists).
-	for i := range s.Blocks {
-		s.Blocks[i].Cost = sr.p.MergeBlocks(s.Blocks[i].Range[0], s.Blocks[i].Range[1])
-	}
 	return s, nil
 }
 
@@ -231,6 +229,12 @@ func (sr *searcher) refine(st *stage) (*Schedule, error) {
 // uses the candidate schedules losing candidates hand back and a pooled
 // plan.Scratch. Zero steady-state allocation is the point: the Opt-1/Opt-2
 // search replays these paths thousands of times per plan.
+//
+// Searchers are reused across stages and calls through one free list
+// (searchers and putSearcher), so the memos, arenas and
+// recycled schedules keep their capacity from one search to the next.
+// Nothing a search returns aliases its searcher: a stage's cut sets are
+// copies (cutSetOf), and refine's winner is never in the free list.
 type searcher struct {
 	p      *profiler.Profile
 	opts   Options
@@ -266,17 +270,58 @@ type searcher struct {
 	sim *plan.Scratch // Opt-2 only; a candidate's makespan is all that leaves it
 }
 
-func newSearcher(p *profiler.Profile, budget unit.Bytes, opts Options) *searcher {
-	return &searcher{
-		p:        p,
-		opts:     opts,
-		budget:   budget,
-		bw:       hw.SwapThroughput(p.Node),
-		lat:      p.Node.Link.Latency,
-		name:     "karma/" + p.Graph.Name(),
-		merged:   map[[2]int]*profiler.Block{},
-		evalMemo: map[string]float64{},
+// searchers is the free list of idle searchers (see memo.Pool: it keeps
+// at most GOMAXPROCS of them, and a garbage collection keeps them).
+var searchers = memo.NewPool(newSearcher)
+
+func newSearcher() *searcher {
+	return &searcher{merged: map[[2]int]*profiler.Block{}, evalMemo: map[string]float64{}}
+}
+
+// maxPooledMemo bounds the entries of a searcher's merge and objective
+// memos for it to go back to the free list. Clearing a map costs in
+// proportion to the capacity it once grew to, so a searcher that ran a
+// larger search than this is dropped rather than making every later
+// small search pay for it; the bound also caps the merge arena a pooled
+// searcher keeps (under 1.5 MB at 176 B per merged block). The largest
+// Fig. 5 search (ResNet-1001 at batch 320, 673 profiled blocks) fills
+// 943 merge and 494 objective entries and keeps a 170 KB arena.
+const maxPooledMemo = 4096
+
+// reset points an empty searcher at one search.
+func (sr *searcher) reset(p *profiler.Profile, budget unit.Bytes, opts Options) *searcher {
+	sr.p, sr.opts, sr.budget = p, opts, budget
+	sr.bw = hw.SwapThroughput(p.Node)
+	sr.lat = p.Node.Link.Latency
+	sr.name = "karma/" + p.Graph.Name()
+	return sr
+}
+
+// putSearcher hands sr back to the free list once its search is over,
+// unless idle finds it too large to keep.
+func putSearcher(sr *searcher) {
+	if sr.idle() {
+		searchers.Put(sr)
 	}
+}
+
+// idle reports whether sr may be pooled: false when its memos outgrew
+// maxPooledMemo. A poolable searcher first drops every reference to the
+// search's profile and merged blocks, so it keeps only its own buffers
+// alive.
+func (sr *searcher) idle() bool {
+	if len(sr.merged) > maxPooledMemo || len(sr.evalMemo) > maxPooledMemo {
+		return false
+	}
+	sr.p, sr.sim = nil, nil
+	clear(sr.merged)
+	clear(sr.evalMemo)
+	sr.mergeArena = sr.mergeArena[:0]
+	clear(sr.eblocks[:cap(sr.eblocks)]) // may point into older arena chunks
+	for _, s := range sr.free {
+		s.Profile = nil
+	}
+	return true
 }
 
 // mergeCosts returns the numeric merge of blocks [i, j), cached — the
@@ -563,6 +608,9 @@ func (sr *searcher) scheduleFromCuts(cs *cutSet) *Schedule {
 		s = new(Schedule)
 	}
 	blocks := s.Blocks[:0]
+	if cap(blocks) < len(cuts)+1 {
+		blocks = make([]Block, 0, len(cuts)+1)
+	}
 	payloads := sr.spay[:0]
 	start := 0
 	for i := 0; i <= len(cuts); i++ {

@@ -9,13 +9,14 @@ import (
 	"karma/internal/profiler"
 )
 
-// TestStageMatchesFreshSearchFig5 holds the shared Opt-1 stage to a
-// fresh search on every Fig. 5 point (the six models over their batch
-// grids): each point is planned as "KARMA" and "KARMA w/recompute" on
-// one profile, in both orders, and every outcome must equal Plan on a
-// shallow copy of the profile the stage cache has never seen — the same
-// schedule in every field but Profile, or the same error string. The
-// second call of each pair must be a stage hit.
+// TestStageMatchesFreshSearchFig5 holds the shared Opt-1 stage and the
+// pooled searchers to a fresh search on every Fig. 5 point (the six
+// models over their batch grids): each point is planned as "KARMA" and
+// "KARMA w/recompute" on one profile, in both orders, and every outcome
+// must equal PlanFresh, which uses neither the stage cache nor a pooled
+// searcher or scratch — the same schedule in every field but Profile, or
+// the same error string. The second call of each pair must be a stage
+// hit.
 func TestStageMatchesFreshSearchFig5(t *testing.T) {
 	fresh := func(p *profiler.Profile) *profiler.Profile {
 		q := *p
@@ -34,7 +35,7 @@ func TestStageMatchesFreshSearchFig5(t *testing.T) {
 			}
 			want := map[bool]outcome{}
 			for _, disable := range []bool{false, true} {
-				s, err := karma.Plan(fresh(p), karma.Options{DisableRecompute: disable})
+				s, err := karma.PlanFresh(p, karma.Options{DisableRecompute: disable})
 				want[disable] = outcome{s, err}
 			}
 			for _, order := range [][]bool{{true, false}, {false, true}} {

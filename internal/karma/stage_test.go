@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"karma/internal/memo"
+	"karma/internal/plan"
 	"karma/internal/profiler"
 )
 
@@ -43,6 +44,20 @@ func PlanDiff(got *Schedule, gotErr error, want *Schedule, wantErr error) string
 	return ""
 }
 
+// PlanFresh is Plan on state no earlier search has touched: no stage
+// cache, a new searcher for each stage and a new plan scratch. It is the
+// reference the shared stage and the pooled searchers are held to.
+func PlanFresh(p *profiler.Profile, opts Options) (*Schedule, error) {
+	opts.normalize()
+	st := opt1(newSearcher(), p, opts)
+	if st.err != nil {
+		return nil, st.err
+	}
+	sr := newSearcher().reset(p, st.budget, opts)
+	sr.sim = new(plan.Scratch)
+	return sr.refine(st)
+}
+
 // fresh returns a shallow copy of p at an address the stage cache has
 // never seen: planning it runs Opt-1 from scratch.
 func fresh(p *profiler.Profile) *profiler.Profile {
@@ -51,8 +66,8 @@ func fresh(p *profiler.Profile) *profiler.Profile {
 }
 
 // checkPair plans both recompute settings on one fresh copy of p, in
-// the given order, and holds each outcome equal to Plan on a copy of
-// its own. The second call must be served from the stage cache.
+// the given order, and holds each outcome equal to PlanFresh. The
+// second call must be served from the stage cache.
 func checkPair(t *testing.T, label string, p *profiler.Profile, base Options, swapFirst bool) {
 	t.Helper()
 	settings := []bool{false, true}
@@ -67,7 +82,7 @@ func checkPair(t *testing.T, label string, p *profiler.Profile, base Options, sw
 	for _, disable := range settings {
 		o := base
 		o.DisableRecompute = disable
-		s, err := Plan(fresh(p), o)
+		s, err := PlanFresh(p, o)
 		want[disable] = outcome{s, err}
 	}
 	shared := fresh(p)
@@ -123,7 +138,7 @@ func TestStageConcurrentPlanners(t *testing.T) {
 	p := profileFor(t, "resnet50", 384)
 	want := map[bool]*Schedule{}
 	for _, disable := range []bool{false, true} {
-		s, err := Plan(fresh(p), Options{DisableRecompute: disable})
+		s, err := PlanFresh(p, Options{DisableRecompute: disable})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +213,7 @@ func TestStageLadderDistinct(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			o := Options{MaxBlocks: c.maxBlocks}
 			o.normalize()
-			st := opt1(fuzzProfile(seed, c.blocks), o)
+			st := opt1(newSearcher(), fuzzProfile(seed, c.blocks), o)
 			if st.err != nil {
 				t.Fatalf("%d blocks, MaxBlocks %d, seed %d: %v", c.blocks, c.maxBlocks, seed, st.err)
 			}

@@ -167,7 +167,7 @@ func TestStreamedRecomputeCheckpointPlan(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		cuts = append(cuts, i*n/6)
 	}
-	sr := newSearcher(p, budget, opts)
+	sr := newSearcher().reset(p, budget, opts)
 	cs := sr.cutSetOf(cuts)
 	s := sr.scheduleFromCuts(&cs)
 	if s.NumBlocks() != 6 {
@@ -221,7 +221,7 @@ func TestStreamedAllSwapPlanBalances(t *testing.T) {
 	for i := 1; i < 8; i++ {
 		cuts = append(cuts, i*n/8)
 	}
-	sr := newSearcher(p, budget, opts)
+	sr := newSearcher().reset(p, budget, opts)
 	cs := sr.cutSetOf(cuts)
 	s := sr.scheduleFromCuts(&cs)
 	s.Resident = s.NumBlocks()

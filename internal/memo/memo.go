@@ -2,7 +2,9 @@
 // bounded, singleflight-style concurrent LRU. The evaluator memos of
 // internal/dist (interned graphs, shard builds, profiles, partition
 // searches) and the response cache of karma-serve are all instances of
-// Cache.
+// Cache. Its companion Pool is the one scratch free list: plan's
+// Scratch, karma's search state and dist's plan scratch are reused
+// through it.
 package memo
 
 import (

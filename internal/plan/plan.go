@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
+	"karma/internal/memo"
 	"karma/internal/sim"
 	"karma/internal/unit"
 )
@@ -599,15 +599,20 @@ type Scratch struct {
 	Runner   sim.Runner
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// scratches is the free list the single-GPU planners share. A memo.Pool,
+// not a sync.Pool: a collection must not throw the grown arenas away.
+var scratches = memo.NewPool(func() *Scratch { return new(Scratch) })
 
-// GetScratch returns a scratch from the pool the single-GPU planners
-// share.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+// GetScratch returns a scratch from the free list the single-GPU
+// planners (every baseline.Run method and karma's Opt-2 search) share,
+// or a new one. The free list survives garbage collections and keeps
+// at most GOMAXPROCS scratches (see memo.Pool), each as large as the
+// largest plan it has lowered.
+func GetScratch() *Scratch { return scratches.Get() }
 
-// PutScratch hands sc back to the pool; nothing it returned may be read
-// afterwards.
-func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
+// PutScratch hands sc back to the free list; nothing it returned may be
+// read afterwards.
+func PutScratch(sc *Scratch) { scratches.Put(sc) }
 
 // Simulate compiles p on the scratch's compiler and runs it against the
 // given capacity on its runner, with (*Plan).Simulate's errors.
